@@ -9,17 +9,15 @@ Schemes per drop, all sharing one channel realization:
              is reported as rate 0
 
 Per-drop seeds are a fixed hash-mix of (master seed, sweep index, drop
-index), so results are independent of worker count and of execution order.
-The RISBAL_THREADS environment variable caps worker parallelism (0 = auto).
+index). Drops run in order in one process; BLAS threads
+(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -120,51 +118,23 @@ def _apply_sweep_value(cfg: ScenarioConfig, sweep: SweepParam, value: float) -> 
     return replace(cfg, lambda_db=value)
 
 
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is None:
-        env = os.environ.get("RISBAL_THREADS", "0")
-        try:
-            max_workers = int(env)
-        except ValueError:
-            raise ConfigError(f"RISBAL_THREADS must be an integer, got {env!r}")
-    if max_workers < 0:
-        raise ConfigError("worker count must be nonnegative")
-    if max_workers == 0:
-        max_workers = os.cpu_count() or 1
-    return max_workers
-
-
 def run_sweep(
     cfg: ScenarioConfig,
     sweep: SweepParam,
     values: list[float],
     crn: bool = False,
-    max_workers: int | None = None,
     rcg_cfg: RcgConfig | None = None,
 ) -> list[SweepResult]:
-    """Run num_drops independent drops per sweep value and aggregate.
-
-    Drops execute in parallel; aggregation is ordered by drop index, so the
-    output is byte-stable across worker counts.
-    """
+    """Run num_drops independent drops per sweep value and aggregate."""
     if not values:
         raise ConfigError("sweep needs at least one value")
     cfg.validate()
-    workers = _resolve_workers(max_workers)
 
     results: list[SweepResult] = []
     for si, value in enumerate(values):
         cfg_v = _apply_sweep_value(cfg, sweep, float(value))
         seeds = [drop_seed_for(cfg.seed, si, d, crn) for d in range(cfg.num_drops)]
-
-        def one(seed: int) -> dict[Scheme, tuple[float, float]]:
-            return run_drop(cfg_v, seed, rcg_cfg)
-
-        if workers == 1:
-            drops = [one(s) for s in seeds]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                drops = list(pool.map(one, seeds))
+        drops = [run_drop(cfg_v, s, rcg_cfg) for s in seeds]
 
         for scheme in Scheme:
             for cell, idx in ((Cell.CELL1, 0), (Cell.CELL2, 1)):
@@ -215,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="risbal",
         description="Monte Carlo sum-rate sweeps for the balancing reflection design",
         epilog="The NoRis scheme reports a cell-1 sum rate of 0 (cell 1 has no "
-               "direct links). RISBAL_THREADS caps worker parallelism (0 = auto).",
+               "direct links). Drops run in order in one process; BLAS threads "
+               "(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only parallelism.",
     )
     parser.add_argument("--config", help="scenario config file (defaults used if omitted)")
     parser.add_argument(

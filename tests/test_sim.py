@@ -101,20 +101,13 @@ def test_reference_operating_point_rates_are_sane():
 
 def test_sweep_single_value_single_drop_matches_run_drop():
     cfg = small_cfg(num_drops=1)
-    results = run_sweep(cfg, SweepParam.LAMBDA_DB, [20.0], max_workers=1)
+    results = run_sweep(cfg, SweepParam.LAMBDA_DB, [20.0])
     drop = run_drop(replace(cfg, lambda_db=20.0), drop_seed_for(cfg.seed, 0, 0))
     for r in results:
         assert r.std_err == 0.0
         assert r.num_drops == 1
         idx = 0 if r.cell is Cell.CELL1 else 1
         assert r.mean_sum_rate == pytest.approx(drop[r.scheme][idx], rel=1e-12)
-
-
-def test_sweep_thread_count_invariance():
-    cfg = small_cfg(num_drops=6)
-    a = run_sweep(cfg, SweepParam.TRANSMIT_POWER_DBM, [20.0, 30.0], max_workers=1)
-    b = run_sweep(cfg, SweepParam.TRANSMIT_POWER_DBM, [20.0, 30.0], max_workers=3)
-    assert a == b
 
 
 def test_sweep_crn_reuses_drops_across_values():
@@ -127,31 +120,11 @@ def test_sweep_rejects_empty_values():
         run_sweep(small_cfg(), SweepParam.LAMBDA_DB, [])
 
 
-def test_thread_env_var_caps_workers(monkeypatch):
-    from risbal.sim import _resolve_workers
-
-    monkeypatch.setenv("RISBAL_THREADS", "2")
-    assert _resolve_workers(None) == 2
-    monkeypatch.setenv("RISBAL_THREADS", "0")
-    assert _resolve_workers(None) >= 1
-    monkeypatch.setenv("RISBAL_THREADS", "x")
-    with pytest.raises(ConfigError):
-        _resolve_workers(None)
-    assert _resolve_workers(3) == 3
-
-
-def test_sweep_respects_env_thread_cap(monkeypatch):
-    cfg = small_cfg(num_drops=4)
-    ref = run_sweep(cfg, SweepParam.LAMBDA_DB, [10.0], max_workers=1)
-    monkeypatch.setenv("RISBAL_THREADS", "2")
-    assert run_sweep(cfg, SweepParam.LAMBDA_DB, [10.0]) == ref
-
-
 # ------------------------------------------------------------- csv and config
 
 def test_write_csv_format(tmp_path):
     cfg = small_cfg(num_drops=2)
-    results = run_sweep(cfg, SweepParam.LAMBDA_DB, [10.0, 0.0], max_workers=1)
+    results = run_sweep(cfg, SweepParam.LAMBDA_DB, [10.0, 0.0])
     out = tmp_path / "res.csv"
     write_csv(results, str(out), SweepParam.LAMBDA_DB)
     with open(out, newline="") as fh:
