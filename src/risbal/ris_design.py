@@ -46,13 +46,8 @@ _QUADFORM_IMAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EffectiveChannels:
-    """Cascaded matrices per user and their Gram totals.
+    """Gram totals of the cascaded matrices, Atilde_i = sum_k A_ik A_ik^H."""
 
-    A1 : (K1, M, N1), A2 : (K2, M, N2); Atilde_i = sum_k A_ik A_ik^H.
-    """
-
-    A1: np.ndarray
-    A2: np.ndarray
     Atilde1: np.ndarray
     Atilde2: np.ndarray
 
@@ -87,15 +82,17 @@ def total_gain_matrix(As: Sequence[np.ndarray]) -> np.ndarray:
     return (total + total.conj().T) / 2.0
 
 
+def _gram_total(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """sum_k A_k A_k^H as the Schur product (G G^H) o (H^H H), rows of H = h_k."""
+    total = (G @ G.conj().T) * (h_r.conj().T @ h_r)
+    return (total + total.conj().T) / 2.0
+
+
 def effective_channels(channels: ChannelSet) -> EffectiveChannels:
-    """Build all cascaded matrices and both Gram totals from one channel draw."""
-    A1 = np.stack([cascade(h, channels.G1) for h in channels.h_r1])
-    A2 = np.stack([cascade(h, channels.G2) for h in channels.h_r2])
+    """Both Gram totals from one channel draw."""
     return EffectiveChannels(
-        A1=A1,
-        A2=A2,
-        Atilde1=total_gain_matrix(list(A1)),
-        Atilde2=total_gain_matrix(list(A2)),
+        Atilde1=_gram_total(channels.h_r1, channels.G1),
+        Atilde2=_gram_total(channels.h_r2, channels.G2),
     )
 
 

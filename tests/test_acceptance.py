@@ -16,6 +16,7 @@ from risbal import (
     Scheme,
     SweepParam,
     balance_matrix,
+    cascade,
     design_eigen,
     effective_channels,
     gen_channel_set,
@@ -119,11 +120,13 @@ def test_theta_invariance_of_uncontrolled_gain():
     rng = np.random.default_rng(7)
     for s in range(50):
         cs = gen_channel_set(cfg, np.random.default_rng(3000 + s))
+        A2 = [cascade(h, cs.G2) for h in cs.h_r2]
         eff = effective_channels(cs)
+        assert np.linalg.norm(eff.Atilde2 - total_gain_matrix(A2)) <= 1e-12 * np.linalg.norm(eff.Atilde2)
         phi = random_phi(cs.G2.shape[0], rng)
         base = quadform(phi, eff.Atilde2)
         for theta in (0.0, np.pi / 6, np.pi / 2, np.pi):
-            rotated = total_gain_matrix([np.exp(1j * theta) * A for A in eff.A2])
+            rotated = total_gain_matrix([np.exp(1j * theta) * A for A in A2])
             assert abs(quadform(phi, rotated) - base) <= 1e-10 * abs(base)
     print("PASS theta invariance: 50 instances, 4 offsets, rel err < 1e-10")
 

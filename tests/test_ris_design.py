@@ -286,12 +286,14 @@ def test_uncontrolled_gain_ignores_phase_offset():
 def test_effective_channels_shapes_and_psd():
     cs = _channels(seed=3)
     eff = effective_channels(cs)
-    K, M = cs.h_r1.shape
-    assert eff.A1.shape == (K, M, cs.G1.shape[1])
-    assert eff.Atilde1.shape == (M, M)
-    for At in (eff.Atilde1, eff.Atilde2):
+    M = cs.h_r1.shape[1]
+    assert eff.Atilde1.shape == eff.Atilde2.shape == (M, M)
+    for At, h_r, G in ((eff.Atilde1, cs.h_r1, cs.G1), (eff.Atilde2, cs.h_r2, cs.G2)):
         np.testing.assert_allclose(At, At.conj().T, atol=1e-10)
         assert np.linalg.eigvalsh(At).min() >= -1e-10 * np.linalg.norm(At)
+        # the Schur-product form matches the sum of cascade Grams
+        ref = total_gain_matrix([cascade(h, G) for h in h_r])
+        assert np.linalg.norm(At - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_objective_global_phase_invariance():
