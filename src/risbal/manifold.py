@@ -107,6 +107,7 @@ class ConvergedBy(Enum):
     GRAD_NORM = "GradNorm"
     OBJ_DELTA = "ObjDelta"
     MAX_ITERS = "MaxIters"
+    LINE_SEARCH = "LineSearch"
 
 
 @dataclass
@@ -198,7 +199,7 @@ def rcg_minimize(
     gradient norm falls below grad_tol, when the objective decrease
     stagnates relative to the total decrease achieved, or at max_iters.
     A failed line search triggers one steepest-descent restart; a second
-    failure stops the solve.
+    failure stops the solve with ConvergedBy.LINE_SEARCH.
     """
     if cfg is None:
         cfg = RcgConfig()
@@ -238,7 +239,7 @@ def rcg_minimize(
             d = -g  # steepest-descent restart, once
             accepted = _armijo_search(objective, phi, f, g, d, gnorm_sq, cfg)
             if accepted is None:
-                converged = ConvergedBy.OBJ_DELTA
+                converged = ConvergedBy.LINE_SEARCH
                 break
         phi_new, f_new, _alpha = accepted
 

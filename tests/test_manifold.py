@@ -234,6 +234,21 @@ def test_rcg_line_search_exhaustion_stops_cleanly():
     rng = np.random.default_rng(13)
     phi0 = random_phi(4, rng)
     phi, trace = rcg_minimize(lambda p: 0.0, lambda p: 1j * p, phi0)
-    assert trace.converged_by is ConvergedBy.OBJ_DELTA
+    assert trace.converged_by is ConvergedBy.LINE_SEARCH
     assert trace.iterations == 0
+    np.testing.assert_array_equal(phi, phi0)
+
+
+def test_rcg_wrong_gradient_sign_reports_line_search():
+    # f = Re(sum phi) has ambient gradient 1; passing -1 makes every search
+    # direction turn each entry toward +1, so f never decreases for steps
+    # up to 1 and the Armijo test cannot pass
+    rng = np.random.default_rng(14)
+    phi0 = random_phi(6, rng)
+    phi, trace = rcg_minimize(
+        lambda p: float(np.sum(p).real), lambda p: -np.ones_like(p), phi0
+    )
+    assert trace.converged_by is ConvergedBy.LINE_SEARCH
+    assert trace.iterations == 0
+    assert trace.final_grad_norm > 0.0
     np.testing.assert_array_equal(phi, phi0)
