@@ -17,7 +17,7 @@ field names and unknown keys are rejected. Composite values:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 
 from .errors import ConfigError
 
@@ -122,6 +122,19 @@ class ScenarioConfig:
             raise ConfigError("pathloss_ref_distance_m must be positive")
         if math.isnan(self.lambda_db) or self.lambda_db == math.inf:
             raise ConfigError("lambda_db must be finite or -inf")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = astuple(value) if is_dataclass(value) else value
+            floats = [v for v in (parts if isinstance(parts, tuple) else (parts,)) if isinstance(v, float)]
+            if f.name != "lambda_db" and not all(map(math.isfinite, floats)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for key in ("p_t_dbm", "noise_dbm", "lambda_db"):
+            try:
+                linear = 10.0 ** (getattr(self, key) / 10.0)
+            except OverflowError:
+                linear = math.inf
+            if linear == math.inf or (linear == 0.0 and key != "lambda_db"):
+                raise ConfigError(f"{key} = {getattr(self, key)} is out of range in linear scale")
 
     @property
     def lambda_linear(self) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -128,11 +129,12 @@ def run_sweep(
     """Run num_drops independent drops per sweep value and aggregate."""
     if not values:
         raise ConfigError("sweep needs at least one value")
-    cfg.validate()
+    cfgs = [_apply_sweep_value(cfg, sweep, float(value)) for value in values]
+    for cfg_v in cfgs:
+        cfg_v.validate()
 
     results: list[SweepResult] = []
-    for si, value in enumerate(values):
-        cfg_v = _apply_sweep_value(cfg, sweep, float(value))
+    for si, (value, cfg_v) in enumerate(zip(values, cfgs)):
         seeds = [drop_seed_for(cfg.seed, si, d, crn) for d in range(cfg.num_drops)]
         drops = [run_drop(cfg_v, s, rcg_cfg) for s in seeds]
 
@@ -158,7 +160,16 @@ def run_sweep(
 
 
 def write_csv(results: list[SweepResult], path: str, sweep: SweepParam) -> None:
-    """Emit results sorted by (sweep_value, scheme, cell), 9 significant digits."""
+    """Emit results sorted by (sweep_value, scheme, cell), 9 significant digits.
+
+    Raises NumericalError, before the file is opened, if any row holds a
+    non-finite rate or standard error.
+    """
+    for r in results:
+        if not (math.isfinite(r.mean_sum_rate) and math.isfinite(r.std_err)):
+            raise NumericalError(
+                f"non-finite result for {r.scheme.value}/{r.cell.value} at {r.sweep_value:g}"
+            )
     ordered = sorted(results, key=lambda r: (r.sweep_value, r.scheme.value, r.cell.value))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

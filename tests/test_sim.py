@@ -1,14 +1,20 @@
 import csv
 import math
+import os
+import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import small_cfg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbal import (
     ArrayGeometry,
     Position3D,
+    RicianLinkParams,
     ScenarioConfig,
     Scheme,
     SweepParam,
@@ -20,7 +26,7 @@ from risbal import (
     slnr_beamformer,
     write_csv,
 )
-from risbal.errors import ConfigError
+from risbal.errors import ConfigError, NumericalError
 from risbal.sim import Cell, drop_seed_for
 
 
@@ -177,15 +183,45 @@ def test_config_unknown_key_rejected():
 
 
 def test_config_validation_rejects_degenerate_values():
+    nan = math.nan
     for bad in (
         dict(users_per_cell=0),
         dict(num_drops=0),
         dict(cell1_radius=0.0),
         dict(seed=-1),
         dict(lambda_db=math.inf),
+        dict(lambda_db=nan),
+        dict(lambda_db=1e308),
+        dict(p_t_dbm=nan),
+        dict(p_t_dbm=math.inf),
+        dict(p_t_dbm=1e308),
+        dict(p_t_dbm=-1e308),
+        dict(noise_dbm=nan),
+        dict(noise_dbm=1e308),
+        dict(theta_rad=math.inf),
+        dict(cell1_radius=nan),
+        dict(cell2_center=(75.0, nan)),
+        dict(ris_pos=Position3D(40.0, nan, 10.0)),
+        dict(ris_array=ArrayGeometry(2, 4, nan)),
+        dict(direct_link=RicianLinkParams(4.2, nan, 8)),
     ):
         with pytest.raises(ConfigError):
             replace(ScenarioConfig(), **bad).validate()
+    replace(ScenarioConfig(), lambda_db=-math.inf).validate()
+
+
+def test_sweep_validates_each_value():
+    with pytest.raises(ConfigError):
+        run_sweep(small_cfg(), SweepParam.TRANSMIT_POWER_DBM, [30.0, math.inf])
+
+
+def test_write_csv_refuses_nonfinite_rows(tmp_path):
+    results = run_sweep(small_cfg(num_drops=2), SweepParam.LAMBDA_DB, [10.0])
+    results[3] = replace(results[3], mean_sum_rate=math.nan)
+    out = tmp_path / "res.csv"
+    with pytest.raises(NumericalError):
+        write_csv(results, str(out), SweepParam.LAMBDA_DB)
+    assert not out.exists()
 
 
 def test_config_bad_value_rejected():
@@ -267,3 +303,53 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "banana" in capsys.readouterr().err
+
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text(CFG_TEXT)
+    for sweep, values in (("txpower", "inf"), ("txpower", "1e308"), ("txpower", "nan"),
+                          ("lambda", "1e308")):
+        out = tmp_path / "v.csv"
+        code = cli_main([
+            "--config", str(cfg_file), "--sweep", sweep, "--values", values,
+            "--out", str(out),
+        ])
+        assert code == 2, (sweep, values)
+        assert not out.exists()
+    for line in ("theta_rad = inf", "p_t_dbm = nan", "noise_dbm = nan", "ris_pos = 40,nan,10"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CFG_TEXT + line + "\n")
+        code = cli_main([
+            "--config", str(bad), "--sweep", "lambda", "--values", "0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2, line
+        assert line.split()[0] in capsys.readouterr().err
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sweep=st.sampled_from(["txpower", "lambda"]),
+    value=st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_cli_any_sweep_value_keeps_exit_contract(sweep, value):
+    # a parsed float either gives finite rows or a documented exit code;
+    # an escaping exception fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = os.path.join(tmp, "scenario.cfg")
+        out = os.path.join(tmp, "out.csv")
+        with open(cfg_file, "w") as fh:
+            fh.write(CFG_TEXT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli_main([
+                "--config", cfg_file, "--sweep", sweep, f"--values={value!r}",
+                "--drops", "1", "--out", out,
+            ])
+        assert code in (0, 2, 3)
+        if code == 0:
+            with open(out, newline="") as fh:
+                body = list(csv.reader(fh))[1:]
+            assert len(body) == 2 * len(Scheme)
+            assert all(math.isfinite(float(r[4])) and math.isfinite(float(r[5])) for r in body)
+        else:
+            assert not os.path.exists(out)
