@@ -125,8 +125,10 @@ class ScenarioConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             parts = astuple(value) if is_dataclass(value) else value
-            floats = [v for v in (parts if isinstance(parts, tuple) else (parts,)) if isinstance(v, float)]
-            if f.name != "lambda_db" and not all(map(math.isfinite, floats)):
+            if not isinstance(parts, tuple):
+                parts = (parts,)
+            bad = [v for v in parts if isinstance(v, float) and not math.isfinite(v)]
+            if bad and f.name != "lambda_db":
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         for key in ("p_t_dbm", "noise_dbm", "lambda_db"):
             try:
