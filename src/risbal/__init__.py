@@ -10,7 +10,7 @@ evaluates the design against conventional, random, and surface-free
 baselines in a Rician downlink with leakage-based precoding.
 """
 
-from .beamform import Beamformer, composite_cell1, composite_cell2, slnr_beamformer
+from .beamform import composite_cell1, composite_cell2, slnr_beamformer
 from .channel import (
     ChannelSet,
     SteeringSpec,
@@ -39,8 +39,6 @@ from .manifold import (
 )
 from .metrics import RateReport, evaluate
 from .ris_design import (
-    BalanceMatrix,
-    EffectiveChannels,
     balance_matrix,
     cascade,
     design_balanced,

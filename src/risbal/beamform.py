@@ -10,22 +10,12 @@ surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelSet
 from .errors import DimensionError, NumericalError
 
-__all__ = ["Beamformer", "composite_cell1", "composite_cell2", "slnr_beamformer"]
-
-
-@dataclass(frozen=True)
-class Beamformer:
-    """Precoding matrix F (N, K) with trace(F^H F) = power_budget."""
-
-    F: np.ndarray
-    power_budget: float
+__all__ = ["composite_cell1", "composite_cell2", "slnr_beamformer"]
 
 
 def composite_cell1(phi: np.ndarray, channels: ChannelSet) -> np.ndarray:
@@ -50,8 +40,8 @@ def composite_cell2(phi: np.ndarray, channels: ChannelSet) -> np.ndarray:
     return np.conj(channels.h_d2) + np.exp(1j * channels.theta) * reflected
 
 
-def slnr_beamformer(rows: np.ndarray, power_budget: float, noise_var: float) -> Beamformer:
-    """Leakage-based precoder with equal per-user power.
+def slnr_beamformer(rows: np.ndarray, power_budget: float, noise_var: float) -> np.ndarray:
+    """Leakage-based precoder F, shape (N, K), with trace(F^H F) = power_budget.
 
     For user k with channel row h_k^H:
         v_k = (sum_{j != k} h_j h_j^H + (K noise_var / P) I)^{-1} h_k
@@ -79,4 +69,4 @@ def slnr_beamformer(rows: np.ndarray, power_budget: float, noise_var: float) -> 
         if norm == 0.0 or not np.isfinite(norm):
             raise NumericalError("degenerate beam direction")
         F[:, k] = np.sqrt(per_user) * v / norm
-    return Beamformer(F=F, power_budget=float(power_budget))
+    return F

@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteeringSpec:
-    """Array geometry plus direct-path angles, for redrawing scattered-path steering."""
+    """Array geometry plus direct-path angles at one end of a link."""
 
     geom: ArrayGeometry
     azimuth: float
@@ -50,6 +50,7 @@ class ChannelSet:
     h_r1 : (K1, M) RIS -> cell-1 users, one channel vector per row
     h_r2 : (K2, M) RIS -> cell-2 users
     h_d2 : (K2, N2) BS2 -> cell-2 users direct
+    noise_var : receiver noise power, the same in both cells
     theta : constant phase offset the surface applies in cell 2's band
     """
 
@@ -58,8 +59,7 @@ class ChannelSet:
     h_r1: np.ndarray
     h_r2: np.ndarray
     h_d2: np.ndarray
-    noise_var_1: float
-    noise_var_2: float
+    noise_var: float
     theta: float
 
 
@@ -110,35 +110,31 @@ def path_loss_linear(
 
 
 def gen_rician_matrix(
-    rows: int,
-    cols: int,
-    tx_steering: np.ndarray,
-    rx_steering: np.ndarray,
+    tx_spec: SteeringSpec,
+    rx_spec: SteeringSpec | None,
     params: RicianLinkParams,
     pl_gain: float,
     rng: np.random.Generator,
-    tx_spec: SteeringSpec | None = None,
-    rx_spec: SteeringSpec | None = None,
 ) -> np.ndarray:
-    """Draw one (rows, cols) Rician channel matrix.
+    """Draw one (rx size, tx size) Rician channel matrix.
 
     H = sqrt(pl) * ( sqrt(k/(k+1)) rx tx^H
                      + sqrt(1/(k+1)) (1/sqrt(L)) sum_l g_l rx_l tx_l^H )
 
-    Scattered-path steering vectors are recomputed from angles perturbed
-    uniformly within +-angular_spread_deg of the direct-path angles when the
-    corresponding SteeringSpec is given; a side without a spec (e.g. a
-    single-antenna user) reuses its direct-path response. With L = 0 only the
-    direct term is drawn, at unit total power.
+    rx and tx are the array responses at the specs' direct-path angles;
+    rx_spec=None is a single-antenna receiver with response 1. Scattered-path
+    steering vectors are recomputed from angles perturbed uniformly within
+    +-angular_spread_deg of the direct-path angles; a single-antenna side
+    reuses its response. With L = 0 only the direct term is drawn, at unit
+    total power.
     """
-    tx = np.asarray(tx_steering, dtype=np.complex128)
-    rx = np.asarray(rx_steering, dtype=np.complex128)
-    if tx.shape != (cols,) or rx.shape != (rows,):
-        raise ValueError(
-            f"steering lengths ({rx.size}, {tx.size}) do not match ({rows}, {cols})"
-        )
     if pl_gain <= 0:
         raise ValueError("path-loss gain must be positive")
+    tx = upa_steering(tx_spec.azimuth, tx_spec.elevation, tx_spec.geom)
+    if rx_spec is None:
+        rx = np.ones(1, dtype=np.complex128)
+    else:
+        rx = upa_steering(rx_spec.azimuth, rx_spec.elevation, rx_spec.geom)
 
     los = np.outer(rx, np.conj(tx))
     L = params.nlos_path_count
@@ -146,18 +142,15 @@ def gen_rician_matrix(
         return np.sqrt(pl_gain) * los
 
     spread = np.deg2rad(params.angular_spread_deg)
-    scattered = np.zeros((rows, cols), dtype=np.complex128)
+    scattered = np.zeros(los.shape, dtype=np.complex128)
     for _ in range(L):
         if rx_spec is not None:
             daz, del_ = rng.uniform(-spread, spread, size=2)
             rx_l = upa_steering(rx_spec.azimuth + daz, rx_spec.elevation + del_, rx_spec.geom)
         else:
             rx_l = rx
-        if tx_spec is not None:
-            daz, del_ = rng.uniform(-spread, spread, size=2)
-            tx_l = upa_steering(tx_spec.azimuth + daz, tx_spec.elevation + del_, tx_spec.geom)
-        else:
-            tx_l = tx
+        daz, del_ = rng.uniform(-spread, spread, size=2)
+        tx_l = upa_steering(tx_spec.azimuth + daz, tx_spec.elevation + del_, tx_spec.geom)
         gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
         scattered += gain * np.outer(rx_l, np.conj(tx_l))
 
@@ -202,73 +195,39 @@ def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> Chann
     d0 = scenario.pathloss_ref_distance_m
     ris = scenario.ris_pos
     ris_geom = scenario.ris_array
-    M = ris_geom.size
 
     def bs_to_ris(bs_pos: Position3D, bs_geom: ArrayGeometry, stream) -> np.ndarray:
         az_r, el_r = los_angles(ris, bs_pos)   # arrival side at the surface
         az_b, el_b = los_angles(bs_pos, ris)   # departure side at the BS
         pl = path_loss_linear(_distance(bs_pos, ris), scenario.bs_ris_link.path_loss_exponent, c0, d0)
         return gen_rician_matrix(
-            M,
-            bs_geom.size,
-            upa_steering(az_b, el_b, bs_geom),
-            upa_steering(az_r, el_r, ris_geom),
+            SteeringSpec(bs_geom, az_b, el_b),
+            SteeringSpec(ris_geom, az_r, el_r),
             scenario.bs_ris_link,
             pl,
             stream,
-            tx_spec=SteeringSpec(bs_geom, az_b, el_b),
-            rx_spec=SteeringSpec(ris_geom, az_r, el_r),
         )
 
-    G1 = bs_to_ris(scenario.bs1_pos, scenario.bs1_array, s_g1)
-    G2 = bs_to_ris(scenario.bs2_pos, scenario.bs2_array, s_g2)
+    def to_users(
+        src: Position3D, geom: ArrayGeometry, link: RicianLinkParams,
+        users: list[Position3D], stream,
+    ) -> np.ndarray:
+        """Channel vectors h from src to each single-antenna user, one per row."""
+        hs = []
+        for user in users:
+            az, el = los_angles(src, user)
+            pl = path_loss_linear(_distance(src, user), link.path_loss_exponent, c0, d0)
+            # physical row is h^H (1, size); store the column vector h
+            row = gen_rician_matrix(SteeringSpec(geom, az, el), None, link, pl, stream)
+            hs.append(np.conj(row[0]))
+        return np.stack(hs)
 
-    def ris_to_user(user: Position3D, stream) -> np.ndarray:
-        az, el = los_angles(ris, user)
-        pl = path_loss_linear(_distance(ris, user), scenario.ris_user_link.path_loss_exponent, c0, d0)
-        # physical row is h^H (1, M); store the column vector h
-        row = gen_rician_matrix(
-            1,
-            M,
-            upa_steering(az, el, ris_geom),
-            np.ones(1, dtype=np.complex128),
-            scenario.ris_user_link,
-            pl,
-            stream,
-            tx_spec=SteeringSpec(ris_geom, az, el),
-        )
-        return np.conj(row[0])
-
-    h_r1 = np.stack([ris_to_user(u, s_hr1) for u in users1])
-    h_r2 = np.stack([ris_to_user(u, s_hr2) for u in users2])
-
-    def bs2_to_user(user: Position3D, stream) -> np.ndarray:
-        az, el = los_angles(scenario.bs2_pos, user)
-        pl = path_loss_linear(
-            _distance(scenario.bs2_pos, user), scenario.direct_link.path_loss_exponent, c0, d0
-        )
-        row = gen_rician_matrix(
-            1,
-            scenario.bs2_array.size,
-            upa_steering(az, el, scenario.bs2_array),
-            np.ones(1, dtype=np.complex128),
-            scenario.direct_link,
-            pl,
-            stream,
-            tx_spec=SteeringSpec(scenario.bs2_array, az, el),
-        )
-        return np.conj(row[0])
-
-    h_d2 = np.stack([bs2_to_user(u, s_hd2) for u in users2])
-
-    noise = scenario.noise_var_w
     return ChannelSet(
-        G1=G1,
-        G2=G2,
-        h_r1=h_r1,
-        h_r2=h_r2,
-        h_d2=h_d2,
-        noise_var_1=noise,
-        noise_var_2=noise,
+        G1=bs_to_ris(scenario.bs1_pos, scenario.bs1_array, s_g1),
+        G2=bs_to_ris(scenario.bs2_pos, scenario.bs2_array, s_g2),
+        h_r1=to_users(ris, ris_geom, scenario.ris_user_link, users1, s_hr1),
+        h_r2=to_users(ris, ris_geom, scenario.ris_user_link, users2, s_hr2),
+        h_d2=to_users(scenario.bs2_pos, scenario.bs2_array, scenario.direct_link, users2, s_hd2),
+        noise_var=scenario.noise_var_w,
         theta=scenario.theta_rad,
     )

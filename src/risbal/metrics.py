@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import Beamformer
 from .errors import DimensionError
 
 __all__ = ["RateReport", "evaluate"]
@@ -19,17 +18,18 @@ class RateReport:
     sum_rate: float
 
 
-def evaluate(rows: np.ndarray, F: Beamformer, noise_var: float) -> RateReport:
-    """Rates for channel rows (K, N) under precoder F.
+def evaluate(rows: np.ndarray, F: np.ndarray, noise_var: float) -> RateReport:
+    """Rates for channel rows (K, N) under precoder F (N, K).
 
     sinr_k = |h_k^H f_k|^2 / (sum_{j != k} |h_k^H f_j|^2 + noise_var)
     """
     rows = np.asarray(rows, dtype=np.complex128)
-    if rows.ndim != 2 or rows.shape != (F.F.shape[1], F.F.shape[0]):
-        raise DimensionError(f"rows {rows.shape} incompatible with F {F.F.shape}")
+    F = np.asarray(F, dtype=np.complex128)
+    if rows.ndim != 2 or F.ndim != 2 or rows.shape != (F.shape[1], F.shape[0]):
+        raise DimensionError(f"rows {rows.shape} incompatible with F {F.shape}")
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
-    coupling = rows @ F.F                       # (K, K), entry [k, j] = h_k^H f_j
+    coupling = rows @ F                         # (K, K), entry [k, j] = h_k^H f_j
     power = np.abs(coupling) ** 2
     signal = np.diag(power)
     interference = power.sum(axis=1) - signal

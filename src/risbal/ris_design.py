@@ -7,11 +7,14 @@ Frobenius-normalized difference, weighted by lambda, is the Hermitian
 balance matrix R. The design maximizes phi^H R phi over unit-modulus phi
 with the Riemannian CG solver; an eigenvector-rounding shortcut and uniform
 random phases serve as baselines.
+
+Every step takes and returns plain arrays: effective_channels gives both
+Gram totals, balance_matrix forms R from them, and the designs take R, so a
+drop builds its Gram totals once and shares them between weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +31,6 @@ from .errors import (
 from .manifold import RcgConfig, RcgTrace
 
 __all__ = [
-    "EffectiveChannels",
-    "BalanceMatrix",
     "cascade",
     "total_gain_matrix",
     "effective_channels",
@@ -42,22 +43,6 @@ __all__ = [
 ]
 
 _QUADFORM_IMAG_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EffectiveChannels:
-    """Gram totals of the cascaded matrices, Atilde_i = sum_k A_ik A_ik^H."""
-
-    Atilde1: np.ndarray
-    Atilde2: np.ndarray
-
-
-@dataclass(frozen=True)
-class BalanceMatrix:
-    """R = Atilde1/||Atilde1||_F - lambda * Atilde2/||Atilde2||_F, Hermitian."""
-
-    R: np.ndarray
-    lam: float
 
 
 def cascade(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -88,16 +73,16 @@ def _gram_total(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (total + total.conj().T) / 2.0
 
 
-def effective_channels(channels: ChannelSet) -> EffectiveChannels:
-    """Both Gram totals from one channel draw."""
-    return EffectiveChannels(
-        Atilde1=_gram_total(channels.h_r1, channels.G1),
-        Atilde2=_gram_total(channels.h_r2, channels.G2),
+def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
+    """Both Gram totals (Atilde1, Atilde2), Atilde_i = sum_k A_ik A_ik^H, from one draw."""
+    return (
+        _gram_total(channels.h_r1, channels.G1),
+        _gram_total(channels.h_r2, channels.G2),
     )
 
 
-def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> BalanceMatrix:
-    """Frobenius-normalized difference of the two gain totals."""
+def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
+    """Hermitian R = At1/||At1||_F - lam * At2/||At2||_F."""
     if lam < 0:
         raise ValueError("balancing weight must be nonnegative")
     n1 = np.linalg.norm(At1)
@@ -105,12 +90,12 @@ def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> BalanceMatri
     if n1 == 0.0 or n2 == 0.0:
         raise NormalizationError("zero-norm gain matrix; degenerate channel draw")
     R = At1 / n1 - lam * (At2 / n2)
-    return BalanceMatrix(R=(R + R.conj().T) / 2.0, lam=float(lam))
+    return (R + R.conj().T) / 2.0
 
 
-def p1_objective(phi: np.ndarray, R: BalanceMatrix) -> float:
+def p1_objective(phi: np.ndarray, R: np.ndarray) -> float:
     """-phi^H R phi; the quadratic form must be real up to roundoff."""
-    z = np.vdot(phi, R.R @ phi)
+    z = np.vdot(phi, R @ phi)
     if abs(z.imag) >= _QUADFORM_IMAG_TOL:
         raise HermitianViolationError(
             f"quadratic form has imaginary part {z.imag:.3e}; R is not Hermitian"
@@ -118,18 +103,18 @@ def p1_objective(phi: np.ndarray, R: BalanceMatrix) -> float:
     return -float(z.real)
 
 
-def p1_euclid_grad(phi: np.ndarray, R: BalanceMatrix) -> np.ndarray:
+def p1_euclid_grad(phi: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Ambient gradient -R phi (scale convention absorbed by the line search)."""
-    return -(R.R @ phi)
+    return -(R @ phi)
 
 
-def design_eigen(R: BalanceMatrix) -> np.ndarray:
+def design_eigen(R: np.ndarray) -> np.ndarray:
     """Relaxation baseline: normalize each entry of the top eigenvector of R.
 
     An exactly zero entry has no defined phase and is set to phase 0.
     """
     try:
-        _, vecs = np.linalg.eigh(R.R)
+        _, vecs = np.linalg.eigh(R)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     v = vecs[:, -1]  # algebraically largest eigenvalue
@@ -145,28 +130,23 @@ def design_random(M: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def design_balanced(
-    channels: ChannelSet,
-    lam: float,
+    R: np.ndarray,
     cfg: RcgConfig | None = None,
     phi0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, RcgTrace]:
-    """Full balancing design for one channel draw.
+    """Maximize phi^H R phi over unit-modulus phi with the manifold CG solver.
 
-    Builds the balance matrix for the given weight and runs the manifold CG
-    solver on it. phi0 defaults to the eigenvector-rounded warm start, which
-    the solver can only improve; random phases are the fallback if the
-    eigensolve fails.
+    phi0 defaults to the eigenvector-rounded warm start, which the solver can
+    only improve; random phases are the fallback if the eigensolve fails.
     """
-    eff = effective_channels(channels)
-    bm = balance_matrix(eff.Atilde1, eff.Atilde2, lam)
     if phi0 is None:
         try:
-            phi0 = design_eigen(bm)
+            phi0 = design_eigen(R)
         except NumericalError:
-            phi0 = design_random(bm.R.shape[0], np.random.default_rng(0))
+            phi0 = design_random(R.shape[0], np.random.default_rng(0))
     return manifold.rcg_minimize(
-        lambda p: p1_objective(p, bm),
-        lambda p: p1_euclid_grad(p, bm),
+        lambda p: p1_objective(p, R),
+        lambda p: p1_euclid_grad(p, R),
         phi0,
         cfg,
     )

@@ -1,6 +1,7 @@
 """Monte Carlo harness: per-drop evaluation of all schemes, sweeps, CSV, CLI.
 
-Schemes per drop, all sharing one channel realization:
+Schemes per drop, all sharing one channel realization (the two designs
+also share its Gram totals):
 
   Proposed : balancing design at the configured weight
   ConvRis  : balancing design with weight 0 (serving cell only)
@@ -30,7 +31,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NumericalError, RisbalError
 from .manifold import RcgConfig
 from .metrics import evaluate
-from .ris_design import design_balanced, design_random
+from .ris_design import balance_matrix, design_balanced, design_random, effective_channels
 
 __all__ = [
     "Scheme",
@@ -82,26 +83,28 @@ def run_drop(
     channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
 
     power = cfg.transmit_power_w
+    noise = channels.noise_var
+    At1, At2 = effective_channels(channels)
     phis = {
-        Scheme.PROPOSED: design_balanced(channels, cfg.lambda_linear, rcg_cfg)[0],
-        Scheme.CONV_RIS: design_balanced(channels, 0.0, rcg_cfg)[0],
+        Scheme.PROPOSED: design_balanced(balance_matrix(At1, At2, cfg.lambda_linear), rcg_cfg)[0],
+        Scheme.CONV_RIS: design_balanced(balance_matrix(At1, At2, 0.0), rcg_cfg)[0],
         Scheme.RAND_RIS: design_random(cfg.ris_array.size, np.random.default_rng(phase_ss)),
     }
 
     direct_rows = np.conj(channels.h_d2)
     # BS 2 designs with direct-link knowledge only
-    F2 = slnr_beamformer(direct_rows, power, channels.noise_var_2)
+    F2 = slnr_beamformer(direct_rows, power, noise)
 
     results: dict[Scheme, tuple[float, float]] = {}
     for scheme, phi in phis.items():
         rows1 = composite_cell1(phi, channels)
-        F1 = slnr_beamformer(rows1, power, channels.noise_var_1)
-        r1 = evaluate(rows1, F1, channels.noise_var_1).sum_rate
+        F1 = slnr_beamformer(rows1, power, noise)
+        r1 = evaluate(rows1, F1, noise).sum_rate
         rows2 = composite_cell2(phi, channels)
-        r2 = evaluate(rows2, F2, channels.noise_var_2).sum_rate
+        r2 = evaluate(rows2, F2, noise).sum_rate
         results[scheme] = (r1, r2)
 
-    r2_direct = evaluate(direct_rows, F2, channels.noise_var_2).sum_rate
+    r2_direct = evaluate(direct_rows, F2, noise).sum_rate
     results[Scheme.NO_RIS] = (0.0, r2_direct)
     return results
 

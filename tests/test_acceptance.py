@@ -35,14 +35,13 @@ def _pipeline_balance(seed, lam=100.0, cfg=None):
     """Balance matrix from one channel draw at the reference operating point."""
     cfg = cfg if cfg is not None else ScenarioConfig()
     cs = gen_channel_set(cfg, np.random.default_rng(seed))
-    eff = effective_channels(cs)
-    return balance_matrix(eff.Atilde1, eff.Atilde2, lam)
+    return balance_matrix(*effective_channels(cs), lam)
 
 
-def _solve(bm, rcg_cfg=None):
-    phi0 = design_eigen(bm)
+def _solve(R, rcg_cfg=None):
+    phi0 = design_eigen(R)
     return rcg_minimize(
-        lambda p: -quadform(p, bm.R), lambda p: -(bm.R @ p), phi0, rcg_cfg
+        lambda p: -quadform(p, R), lambda p: -(R @ p), phi0, rcg_cfg
     )
 
 
@@ -85,9 +84,7 @@ def test_oracle_optimality_m3_grid():
         rng = np.random.default_rng(1000 + s)
         R = random_hermitian(3, rng)
         f_grid = grid_min_objective(R, levels=24)  # 13824 candidates
-        from risbal.ris_design import BalanceMatrix
-
-        _, trace = _solve(BalanceMatrix(R=R, lam=0.0))
+        _, trace = _solve(R)
         gap = (trace.objective_values[-1] - f_grid) / abs(f_grid)
         if gap <= 0.02:
             hits += 1
@@ -104,8 +101,7 @@ def test_descent_and_gradient_convergence_m128():
     rcg_cfg = RcgConfig(max_iters=2000)
     grad_tol = 1e-6 * 128
     for s in range(n):
-        bm = _pipeline_balance(2000 + s, lam=100.0)
-        _, trace = _solve(bm, rcg_cfg)
+        _, trace = _solve(_pipeline_balance(2000 + s, lam=100.0), rcg_cfg)
         assert np.all(np.diff(trace.objective_values) <= 0.0)
         if trace.final_grad_norm < grad_tol:
             converged += 1
@@ -121,11 +117,11 @@ def test_theta_invariance_of_uncontrolled_gain():
     for s in range(50):
         cs = gen_channel_set(cfg, np.random.default_rng(3000 + s))
         A2 = [cascade(h, cs.G2) for h in cs.h_r2]
-        eff = effective_channels(cs)
+        _, At2 = effective_channels(cs)
         ref = total_gain_matrix(A2)
-        assert np.linalg.norm(eff.Atilde2 - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(At2 - ref) <= 1e-12 * np.linalg.norm(ref)
         phi = random_phi(cs.G2.shape[0], rng)
-        base = quadform(phi, eff.Atilde2)
+        base = quadform(phi, At2)
         for theta in (0.0, np.pi / 6, np.pi / 2, np.pi):
             rotated = total_gain_matrix([np.exp(1j * theta) * A for A in A2])
             assert abs(quadform(phi, rotated) - base) <= 1e-10 * abs(base)
@@ -218,10 +214,10 @@ def test_equivalence_and_information_barrier():
     base = ScenarioConfig()
     cs = gen_channel_set(base, np.random.default_rng(11))
     rows = np.conj(cs.h_d2)
-    f_full = slnr_beamformer(rows, base.transmit_power_w, cs.noise_var_2)
+    f_full = slnr_beamformer(rows, base.transmit_power_w, cs.noise_var)
     cs_blind = replace(cs, G2=np.zeros_like(cs.G2), h_r2=np.zeros_like(cs.h_r2))
-    f_blind = slnr_beamformer(np.conj(cs_blind.h_d2), base.transmit_power_w, cs_blind.noise_var_2)
-    np.testing.assert_array_equal(f_full.F, f_blind.F)
+    f_blind = slnr_beamformer(np.conj(cs_blind.h_d2), base.transmit_power_w, cs_blind.noise_var)
+    np.testing.assert_array_equal(f_full, f_blind)
     print("PASS equivalence: zero-weight design identical to ConvRis; BS2 precoder blind to surface fields")
 
 

@@ -104,7 +104,7 @@ def test_slnr_single_user_matched_filter():
     bf = slnr_beamformer(row, P, 1e-3)
     h = np.conj(row[0])
     expected = np.sqrt(P) * h / np.linalg.norm(h)
-    np.testing.assert_allclose(bf.F[:, 0], expected, atol=1e-10)
+    np.testing.assert_allclose(bf[:, 0], expected, atol=1e-10)
 
 
 def test_slnr_orthogonal_rows_align_with_users():
@@ -116,7 +116,7 @@ def test_slnr_orthogonal_rows_align_with_users():
     bf = slnr_beamformer(rows, 3.0, 0.5)
     for k in range(3):
         h = np.conj(rows[k])
-        cos = abs(np.vdot(h, bf.F[:, k])) / (np.linalg.norm(h) * np.linalg.norm(bf.F[:, k]))
+        cos = abs(np.vdot(h, bf[:, k])) / (np.linalg.norm(h) * np.linalg.norm(bf[:, k]))
         assert cos == pytest.approx(1.0, abs=1e-12)
 
 
@@ -125,8 +125,8 @@ def test_slnr_power_constraint_tight():
     rows = _rand((4, 16), rng)
     P = 1.7
     bf = slnr_beamformer(rows, P, 1e-6)
-    assert np.trace(bf.F.conj().T @ bf.F).real == pytest.approx(P, abs=1e-9)
-    col_norms = np.linalg.norm(bf.F, axis=0) ** 2
+    assert np.trace(bf.conj().T @ bf).real == pytest.approx(P, abs=1e-9)
+    col_norms = np.linalg.norm(bf, axis=0) ** 2
     np.testing.assert_allclose(col_norms, P / 4, atol=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_slnr_beats_random_probes():
         return sig / (leak + mu * np.linalg.norm(f) ** 2)
 
     for k in range(K):
-        best = ratio(k, bf.F[:, k])
+        best = ratio(k, bf[:, k])
         for _ in range(1000):
             u = _rand(N, rng)
             u *= np.sqrt(P / K) / np.linalg.norm(u)
@@ -159,8 +159,8 @@ def test_slnr_scale_invariance_of_directions():
     a = slnr_beamformer(rows, 1.0, 1e-4)
     b = slnr_beamformer(c * rows, 1.0, c * c * 1e-4)
     for k in range(3):
-        da = a.F[:, k] / np.linalg.norm(a.F[:, k])
-        db = b.F[:, k] / np.linalg.norm(b.F[:, k])
+        da = a[:, k] / np.linalg.norm(a[:, k])
+        db = b[:, k] / np.linalg.norm(b[:, k])
         np.testing.assert_allclose(da, db, atol=1e-9)
 
 

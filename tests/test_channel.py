@@ -103,20 +103,15 @@ def test_path_loss_clamps_below_reference_with_warning():
 
 # -------------------------------------------------------------------- rician
 
-def _steer(geom, az, el):
-    return upa_steering(az, el, geom)
-
-
 def test_rician_los_limit_high_kappa():
     rng = np.random.default_rng(1)
-    geom_tx = ArrayGeometry(1, 3)
-    geom_rx = ArrayGeometry(2, 2)
-    tx = _steer(geom_tx, 0.3, 0.1)
-    rx = _steer(geom_rx, -0.2, 0.4)
+    tx_spec = SteeringSpec(ArrayGeometry(1, 3), 0.3, 0.1)
+    rx_spec = SteeringSpec(ArrayGeometry(2, 2), -0.2, 0.4)
+    tx = upa_steering(0.3, 0.1, tx_spec.geom)
+    rx = upa_steering(-0.2, 0.4, rx_spec.geom)
     params = RicianLinkParams(2.4, 80.0, 4)
-    H = gen_rician_matrix(4, 3, tx, rx, params, 1.0, rng,
-                          tx_spec=SteeringSpec(geom_tx, 0.3, 0.1),
-                          rx_spec=SteeringSpec(geom_rx, -0.2, 0.4))
+    H = gen_rician_matrix(tx_spec, rx_spec, params, 1.0, rng)
+    assert H.shape == (4, 3)
     assert np.linalg.norm(H - np.outer(rx, np.conj(tx))) < 1e-3
 
 
@@ -124,25 +119,21 @@ def test_rician_scalar_los_only():
     rng = np.random.default_rng(2)
     params = RicianLinkParams(2.0, 3.0, 0)
     pl = 0.37
-    H = gen_rician_matrix(1, 1, np.array([np.exp(0.7j)]), np.array([np.exp(-0.2j)]),
-                          params, pl, rng)
+    H = gen_rician_matrix(SteeringSpec(ArrayGeometry(1, 1), 0.7, -0.2), None, params, pl, rng)
+    assert H.shape == (1, 1)
     assert abs(H[0, 0]) ** 2 == pytest.approx(pl, rel=1e-12)
 
 
 def test_rician_frobenius_normalization_monte_carlo():
     rng = np.random.default_rng(3)
-    geom_tx = ArrayGeometry(1, 3)
-    geom_rx = ArrayGeometry(2, 1)
-    tx = _steer(geom_tx, 0.5, -0.1)
-    rx = _steer(geom_rx, 0.2, 0.3)
+    tx_spec = SteeringSpec(ArrayGeometry(1, 3), 0.5, -0.1)
+    rx_spec = SteeringSpec(ArrayGeometry(2, 1), 0.2, 0.3)
     params = RicianLinkParams(2.4, 5.0, 4)
     pl = 2.0
     total = 0.0
     n = 10_000
     for _ in range(n):
-        H = gen_rician_matrix(2, 3, tx, rx, params, pl, rng,
-                              tx_spec=SteeringSpec(geom_tx, 0.5, -0.1),
-                              rx_spec=SteeringSpec(geom_rx, 0.2, 0.3))
+        H = gen_rician_matrix(tx_spec, rx_spec, params, pl, rng)
         total += np.linalg.norm(H) ** 2
     assert total / n == pytest.approx(pl * 2 * 3, rel=0.03)
 
@@ -150,33 +141,29 @@ def test_rician_frobenius_normalization_monte_carlo():
 def test_rician_power_split_fraction():
     # deterministic direct-path part carries kappa/(kappa+1) of the expected power
     rng = np.random.default_rng(4)
-    geom = ArrayGeometry(2, 2)
-    tx = _steer(geom, 0.1, 0.0)
-    rx = np.ones(1, dtype=complex)
+    tx_spec = SteeringSpec(ArrayGeometry(2, 2), 0.1, 0.0)
+    tx = upa_steering(0.1, 0.0, tx_spec.geom)
     kdb = 5.0
     kappa = 10 ** (kdb / 10)
     params = RicianLinkParams(2.4, kdb, 4)
-    los = np.sqrt(kappa / (kappa + 1)) * np.outer(rx, np.conj(tx))
+    los = np.sqrt(kappa / (kappa + 1)) * np.conj(tx)[None, :]
     total = 0.0
     n = 10_000
     for _ in range(n):
-        H = gen_rician_matrix(1, 4, tx, rx, params, 1.0, rng,
-                              tx_spec=SteeringSpec(geom, 0.1, 0.0))
+        H = gen_rician_matrix(tx_spec, None, params, 1.0, rng)
         total += np.linalg.norm(H - los) ** 2
     nlos_fraction = total / n / 4.0
     assert nlos_fraction == pytest.approx(1.0 / (kappa + 1.0), rel=0.03)
 
 
 def test_rician_determinism():
-    geom = ArrayGeometry(2, 2)
-    tx = _steer(geom, 0.1, 0.2)
-    rx = np.ones(2, dtype=complex)
+    tx_spec = SteeringSpec(ArrayGeometry(2, 2), 0.1, 0.2)
+    rx_spec = SteeringSpec(ArrayGeometry(1, 2), -0.3, 0.1)
     params = RicianLinkParams(2.5, 5.0, 8)
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(99)
-        draws.append(gen_rician_matrix(2, 4, tx, rx, params, 1.0, rng,
-                                       tx_spec=SteeringSpec(geom, 0.1, 0.2)))
+        draws.append(gen_rician_matrix(tx_spec, rx_spec, params, 1.0, rng))
     np.testing.assert_array_equal(draws[0], draws[1])
 
 
@@ -190,7 +177,7 @@ def test_channel_set_deterministic():
     b = gen_channel_set(cfg, np.random.default_rng(5))
     for name in ("G1", "G2", "h_r1", "h_r2", "h_d2"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert a.noise_var_1 == b.noise_var_1 and a.theta == b.theta
+    assert a.noise_var == b.noise_var and a.theta == b.theta
     assert pickle.dumps(a) == pickle.dumps(b)  # byte-identical after serialization
 
 
@@ -202,7 +189,7 @@ def test_channel_set_dimensions_and_noise():
     assert cs.h_r1.shape == (4, 128)
     assert cs.h_r2.shape == (4, 128)
     assert cs.h_d2.shape == (4, 16)
-    assert cs.noise_var_1 == pytest.approx(10 ** ((-104 - 30) / 10))
-    assert cs.noise_var_1 == pytest.approx(3.98e-14, rel=1e-2)
+    assert cs.noise_var == pytest.approx(10 ** ((-104 - 30) / 10))
+    assert cs.noise_var == pytest.approx(3.98e-14, rel=1e-2)
     assert cs.theta == pytest.approx(np.pi / 6)
     assert all(np.all(np.isfinite(getattr(cs, n))) for n in ("G1", "G2", "h_r1", "h_r2", "h_d2"))

@@ -22,7 +22,6 @@ from risbal.errors import (
     NormalizationError,
 )
 from risbal.manifold import project_to_tangent, unit_modulus_error
-from risbal.ris_design import BalanceMatrix
 
 
 def _random_complex(shape, rng):
@@ -96,25 +95,25 @@ def test_balance_matrix_zero_weight():
     rng = np.random.default_rng(5)
     At1 = total_gain_matrix([_random_complex((3, 2), rng)])
     At2 = total_gain_matrix([_random_complex((3, 2), rng)])
-    bm = balance_matrix(At1, At2, 0.0)
-    np.testing.assert_allclose(bm.R, At1 / np.linalg.norm(At1), atol=1e-12)
+    R = balance_matrix(At1, At2, 0.0)
+    np.testing.assert_allclose(R, At1 / np.linalg.norm(At1), atol=1e-12)
 
 
 def test_balance_matrix_exact_cancellation():
     rng = np.random.default_rng(6)
     At = total_gain_matrix([_random_complex((3, 2), rng)])
-    bm = balance_matrix(At, At, 1.0)
-    np.testing.assert_allclose(bm.R, 0.0, atol=1e-14)
+    R = balance_matrix(At, At, 1.0)
+    np.testing.assert_allclose(R, 0.0, atol=1e-14)
 
 
 def test_balance_matrix_definition_at_20db():
     rng = np.random.default_rng(7)
     At1 = total_gain_matrix([_random_complex((4, 3), rng)])
     At2 = total_gain_matrix([_random_complex((4, 3), rng)])
-    bm = balance_matrix(At1, At2, 100.0)
+    R = balance_matrix(At1, At2, 100.0)
     expected = At1 / np.linalg.norm(At1) - 100.0 * At2 / np.linalg.norm(At2)
-    assert np.linalg.norm(bm.R - expected) < 1e-12
-    np.testing.assert_allclose(bm.R, bm.R.conj().T, atol=1e-10)
+    assert np.linalg.norm(R - expected) < 1e-12
+    np.testing.assert_allclose(R, R.conj().T, atol=1e-10)
 
 
 def test_balance_matrix_zero_norm_raises():
@@ -125,46 +124,43 @@ def test_balance_matrix_zero_norm_raises():
 # ----------------------------------------------------------- objective, grad
 
 def test_objective_scalar_case():
-    bm = BalanceMatrix(R=np.array([[2.5 + 0j]]), lam=0.0)
+    R = np.array([[2.5 + 0j]])
     for ang in [0.0, 1.0, 2.0]:
-        assert p1_objective(np.array([np.exp(1j * ang)]), bm) == pytest.approx(-2.5)
+        assert p1_objective(np.array([np.exp(1j * ang)]), R) == pytest.approx(-2.5)
 
 
 def test_objective_identity_matrix():
     rng = np.random.default_rng(8)
     M = 7
-    bm = BalanceMatrix(R=np.eye(M, dtype=complex), lam=0.0)
-    assert p1_objective(random_phi(M, rng), bm) == pytest.approx(-M)
+    assert p1_objective(random_phi(M, rng), np.eye(M, dtype=complex)) == pytest.approx(-M)
 
 
 def test_objective_matches_double_sum():
     rng = np.random.default_rng(9)
     R = random_hermitian(4, rng)
-    bm = BalanceMatrix(R=R, lam=0.0)
     phi = random_phi(4, rng)
     double_sum = sum(
         np.conj(phi[m]) * R[m, n] * phi[n] for m in range(4) for n in range(4)
     )
-    assert p1_objective(phi, bm) == pytest.approx(-double_sum.real, rel=1e-12)
+    assert p1_objective(phi, R) == pytest.approx(-double_sum.real, rel=1e-12)
     assert abs(double_sum.imag) < 1e-9
 
 
 def test_objective_rejects_non_hermitian():
     rng = np.random.default_rng(10)
     X = _random_complex((3, 3), rng)  # generic, far from Hermitian
-    bm = BalanceMatrix(R=X, lam=0.0)
     with pytest.raises(HermitianViolationError):
-        p1_objective(random_phi(3, rng), bm)
+        p1_objective(random_phi(3, rng), X)
 
 
 def test_gradient_zero_and_identity():
     rng = np.random.default_rng(11)
     phi = random_phi(5, rng)
     np.testing.assert_array_equal(
-        p1_euclid_grad(phi, BalanceMatrix(R=np.zeros((5, 5)), lam=0.0)), np.zeros(5)
+        p1_euclid_grad(phi, np.zeros((5, 5))), np.zeros(5)
     )
     np.testing.assert_allclose(
-        p1_euclid_grad(phi, BalanceMatrix(R=np.eye(5, dtype=complex), lam=0.0)), -phi,
+        p1_euclid_grad(phi, np.eye(5, dtype=complex)), -phi,
         atol=1e-15,
     )
 
@@ -175,9 +171,8 @@ def test_gradient_finite_difference_scale_convention():
     # solver's line search
     rng = np.random.default_rng(12)
     R = random_hermitian(6, rng)
-    bm = BalanceMatrix(R=R, lam=0.0)
     phi = random_phi(6, rng)
-    g_proj = project_to_tangent(p1_euclid_grad(phi, bm), phi)
+    g_proj = project_to_tangent(p1_euclid_grad(phi, R), phi)
     h = 1e-5
     for _ in range(10):
         z = _random_complex(6, rng)
@@ -195,20 +190,22 @@ def _channels(seed=0, **overrides):
     return gen_channel_set(cfg, np.random.default_rng(seed))
 
 
+def _balance(cs, lam):
+    return balance_matrix(*effective_channels(cs), lam)
+
+
 def test_design_balanced_zero_weight_reproducible():
-    cs = _channels(seed=1)
-    phi_a, _ = design_balanced(cs, 0.0)
-    phi_b, _ = design_balanced(cs, 0.0)
+    R = _balance(_channels(seed=1), 0.0)
+    phi_a, _ = design_balanced(R)
+    phi_b, _ = design_balanced(R)
     np.testing.assert_array_equal(phi_a, phi_b)
 
 
 def test_design_balanced_improves_on_warm_start():
-    cs = _channels(seed=2)
-    eff = effective_channels(cs)
-    bm = balance_matrix(eff.Atilde1, eff.Atilde2, 100.0)
-    phi0 = design_eigen(bm)
-    phi, trace = design_balanced(cs, 100.0)
-    assert trace.objective_values[-1] <= p1_objective(phi0, bm)
+    R = _balance(_channels(seed=2), 100.0)
+    phi0 = design_eigen(R)
+    phi, trace = design_balanced(R)
+    assert trace.objective_values[-1] <= p1_objective(phi0, R)
     assert unit_modulus_error(phi) < 1e-12
 
 
@@ -219,25 +216,23 @@ def test_design_balanced_near_grid_optimum_m2(seed):
 
     cfg = small_cfg(ris_array=__import__("risbal").ArrayGeometry(1, 2))
     cs = gen_channel_set(cfg, np.random.default_rng(40 + seed))
-    eff = effective_channels(cs)
-    bm = balance_matrix(eff.Atilde1, eff.Atilde2, 1.0)
-    _, trace = design_balanced(cs, 1.0)
-    f_grid = grid_min_objective(bm.R, levels=24)
+    R = _balance(cs, 1.0)
+    _, trace = design_balanced(R)
+    f_grid = grid_min_objective(R, levels=24)
     assert trace.objective_values[-1] <= f_grid + 0.02 * abs(f_grid)
 
 
 def test_design_eigen_axis_aligned():
-    bm = BalanceMatrix(R=np.diag([2.0, 1.0]).astype(complex), lam=0.0)
-    phi = design_eigen(bm)
+    phi = design_eigen(np.diag([2.0, 1.0]).astype(complex))
     # top eigenvector is e1; its zero entry takes phase 0
     np.testing.assert_allclose(phi, np.array([1.0, 1.0]), atol=1e-12)
 
 
 def test_design_eigen_identity_degenerate():
-    bm = BalanceMatrix(R=np.eye(4, dtype=complex), lam=0.0)
-    phi = design_eigen(bm)
+    R = np.eye(4, dtype=complex)
+    phi = design_eigen(R)
     assert unit_modulus_error(phi) < 1e-12
-    assert p1_objective(phi, bm) == pytest.approx(-4.0)
+    assert p1_objective(phi, R) == pytest.approx(-4.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -246,8 +241,7 @@ def test_design_eigen_baseline_quality(seed):
     # to land within 35% of the 24-level grid optimum on random instances
     rng = np.random.default_rng(300 + seed)
     R = random_hermitian(4, rng)
-    bm = BalanceMatrix(R=R, lam=0.0)
-    phi = design_eigen(bm)
+    phi = design_eigen(R)
     val = quadform(phi, R)
     lam_max = np.linalg.eigvalsh(R)[-1]
     assert val <= 4 * lam_max + 1e-9
@@ -285,10 +279,10 @@ def test_uncontrolled_gain_ignores_phase_offset():
 
 def test_effective_channels_shapes_and_psd():
     cs = _channels(seed=3)
-    eff = effective_channels(cs)
+    At1, At2 = effective_channels(cs)
     M = cs.h_r1.shape[1]
-    assert eff.Atilde1.shape == eff.Atilde2.shape == (M, M)
-    for At, h_r, G in ((eff.Atilde1, cs.h_r1, cs.G1), (eff.Atilde2, cs.h_r2, cs.G2)):
+    assert At1.shape == At2.shape == (M, M)
+    for At, h_r, G in ((At1, cs.h_r1, cs.G1), (At2, cs.h_r2, cs.G2)):
         np.testing.assert_allclose(At, At.conj().T, atol=1e-10)
         assert np.linalg.eigvalsh(At).min() >= -1e-10 * np.linalg.norm(At)
         # the Schur-product form matches the sum of cascade Grams
@@ -297,14 +291,12 @@ def test_effective_channels_shapes_and_psd():
 
 
 def test_objective_global_phase_invariance():
-    cs = _channels(seed=4)
-    eff = effective_channels(cs)
-    bm = balance_matrix(eff.Atilde1, eff.Atilde2, 10.0)
+    R = _balance(_channels(seed=4), 10.0)
     rng = np.random.default_rng(16)
-    phi = random_phi(bm.R.shape[0], rng)
-    f = p1_objective(phi, bm)
+    phi = random_phi(R.shape[0], rng)
+    f = p1_objective(phi, R)
     for alpha in rng.uniform(0, 2 * np.pi, size=5):
-        assert p1_objective(np.exp(1j * alpha) * phi, bm) == pytest.approx(f, rel=1e-10)
+        assert p1_objective(np.exp(1j * alpha) * phi, R) == pytest.approx(f, rel=1e-10)
 
 
 def test_tradeoff_monotone_in_weight():
@@ -315,11 +307,11 @@ def test_tradeoff_monotone_in_weight():
     n = 40
     for s in range(n):
         cs = gen_channel_set(cfg, np.random.default_rng(5000 + s))
-        eff = effective_channels(cs)
-        At2n = eff.Atilde2 / np.linalg.norm(eff.Atilde2)
+        At1, At2 = effective_channels(cs)
+        At2n = At2 / np.linalg.norm(At2)
         gains = []
         for lam in (0.0, 1.0, 10.0, 100.0):
-            phi, _ = design_balanced(cs, lam)
+            phi, _ = design_balanced(balance_matrix(At1, At2, lam))
             gains.append(quadform(phi, At2n))
         if all(gains[i + 1] <= gains[i] * (1 + 1e-9) for i in range(3)):
             ok += 1

@@ -40,6 +40,25 @@ def test_run_drop_deterministic():
     assert set(a) == set(Scheme)
 
 
+def test_run_drop_builds_gram_totals_once(monkeypatch):
+    # Proposed and ConvRis share one pair of Gram totals per drop; the
+    # counter replaces every module binding of the name
+    import risbal.ris_design
+    import risbal.sim
+
+    calls = []
+    original = risbal.ris_design.effective_channels
+
+    def counted(channels):
+        calls.append(1)
+        return original(channels)
+
+    for mod in (risbal.ris_design, risbal.sim):
+        monkeypatch.setattr(mod, "effective_channels", counted, raising=False)
+    run_drop(small_cfg(), 3)
+    assert len(calls) == 1
+
+
 def test_run_drop_no_ris_uses_direct_rows_only():
     cfg = small_cfg()
     res = run_drop(cfg, 5)
@@ -50,9 +69,9 @@ def test_run_drop_no_ris_uses_direct_rows_only():
     from risbal import evaluate
 
     rows = np.conj(cs.h_d2)
-    F2 = slnr_beamformer(rows, cfg.transmit_power_w, cs.noise_var_2)
+    F2 = slnr_beamformer(rows, cfg.transmit_power_w, cs.noise_var)
     assert res[Scheme.NO_RIS][1] == pytest.approx(
-        evaluate(rows, F2, cs.noise_var_2).sum_rate, rel=1e-12
+        evaluate(rows, F2, cs.noise_var).sum_rate, rel=1e-12
     )
 
 
@@ -85,11 +104,11 @@ def test_bs2_information_barrier():
     cfg = small_cfg()
     cs = gen_channel_set(cfg, np.random.default_rng(9))
     rows = np.conj(cs.h_d2)
-    f_full = slnr_beamformer(rows, cfg.transmit_power_w, cs.noise_var_2)
+    f_full = slnr_beamformer(rows, cfg.transmit_power_w, cs.noise_var)
     cs_blind = replace(cs, G2=np.zeros_like(cs.G2), h_r2=np.zeros_like(cs.h_r2))
     rows_blind = np.conj(cs_blind.h_d2)
-    f_blind = slnr_beamformer(rows_blind, cfg.transmit_power_w, cs_blind.noise_var_2)
-    np.testing.assert_array_equal(f_full.F, f_blind.F)
+    f_blind = slnr_beamformer(rows_blind, cfg.transmit_power_w, cs_blind.noise_var)
+    np.testing.assert_array_equal(f_full, f_blind)
 
 
 def test_reference_operating_point_rates_are_sane():
