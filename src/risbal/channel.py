@@ -13,13 +13,14 @@ the reflecting-surface size.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ArrayGeometry, Position3D, RicianLinkParams, ScenarioConfig
-from .errors import GeometryError
+from .errors import GeometryError, NumericalError
 
 __all__ = [
     "SteeringSpec",
@@ -96,6 +97,7 @@ def path_loss_linear(
     """Linear power gain 10^(c0/10) * (d/d0)^(-exponent).
 
     Distances below the reference d0 are clamped to d0 with a RuntimeWarning.
+    Raises NumericalError if the gain is not in (0, inf).
     """
     if d0_m <= 0:
         raise ValueError("reference distance must be positive")
@@ -106,7 +108,15 @@ def path_loss_linear(
             stacklevel=2,
         )
         distance_m = d0_m
-    return 10.0 ** (c0_db / 10.0) * (distance_m / d0_m) ** (-exponent)
+    try:
+        gain = 10.0 ** (c0_db / 10.0) * (distance_m / d0_m) ** (-exponent)
+    except OverflowError:
+        gain = math.inf
+    if not 0.0 < gain < math.inf:
+        raise NumericalError(
+            f"path-loss gain {gain:.3g} at {distance_m:.3g} m is not in (0, inf)"
+        )
+    return gain
 
 
 def gen_rician_matrix(

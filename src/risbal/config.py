@@ -130,13 +130,24 @@ class ScenarioConfig:
             bad = [v for v in parts if isinstance(v, float) and not math.isfinite(v)]
             if bad and f.name != "lambda_db":
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for key in ("p_t_dbm", "noise_dbm", "lambda_db"):
+        # (name, dB value, zero allowed): a weight or Rician factor may be
+        # 0 in linear scale, a power or the path-loss reference may not
+        in_db = [
+            ("p_t_dbm", self.p_t_dbm, False),
+            ("noise_dbm", self.noise_dbm, False),
+            ("pathloss_ref_db", self.pathloss_ref_db, False),
+            ("lambda_db", self.lambda_db, True),
+        ] + [
+            (f"{key} Rician factor", getattr(self, key).rician_factor_db, True)
+            for key in ("direct_link", "ris_user_link", "bs_ris_link")
+        ]
+        for key, db, zero_ok in in_db:
             try:
-                linear = 10.0 ** (getattr(self, key) / 10.0)
+                linear = 10.0 ** (db / 10.0)
             except OverflowError:
                 linear = math.inf
-            if linear == math.inf or (linear == 0.0 and key != "lambda_db"):
-                raise ConfigError(f"{key} = {getattr(self, key)} is out of range in linear scale")
+            if linear == math.inf or (linear == 0.0 and not zero_ok):
+                raise ConfigError(f"{key} = {db} is out of range in linear scale")
 
     @property
     def lambda_linear(self) -> float:

@@ -33,5 +33,5 @@ class NormalizationError(RisbalError, ValueError):
     """A matrix with zero norm cannot be normalized (degenerate channel draw)."""
 
 
-class HermitianViolationError(RisbalError, ValueError):
+class HermitianViolationError(NumericalError):
     """A quadratic form produced a non-negligible imaginary part."""

@@ -94,9 +94,15 @@ def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
 
 
 def p1_objective(phi: np.ndarray, R: np.ndarray) -> float:
-    """-phi^H R phi; the quadratic form must be real up to roundoff."""
-    z = np.vdot(phi, R @ phi)
-    if abs(z.imag) >= _QUADFORM_IMAG_TOL:
+    """-phi^H R phi; the quadratic form must be real up to roundoff.
+
+    Roundoff scales with ||phi|| ||R phi||, the Cauchy-Schwarz bound on the
+    form, so the tolerance on its imaginary part does too.
+    """
+    Rphi = R @ phi
+    z = np.vdot(phi, Rphi)
+    tol = _QUADFORM_IMAG_TOL * np.linalg.norm(phi) * np.linalg.norm(Rphi)
+    if abs(z.imag) > tol:
         raise HermitianViolationError(
             f"quadratic form has imaginary part {z.imag:.3e}; R is not Hermitian"
         )

@@ -13,7 +13,7 @@ from risbal import (
     path_loss_linear,
     upa_steering,
 )
-from risbal.errors import GeometryError
+from risbal.errors import GeometryError, NumericalError
 
 
 # -------------------------------------------------------------------- angles
@@ -93,6 +93,13 @@ def test_path_loss_strictly_decreasing():
     d = np.linspace(1.0, 200.0, 50)
     gains = [path_loss_linear(x, 2.4) for x in d]
     assert np.all(np.diff(gains) < 0)
+
+
+def test_path_loss_outside_open_range_raises():
+    with pytest.raises(NumericalError):
+        path_loss_linear(50.0, 1000.0)             # underflows to 0
+    with pytest.raises(NumericalError):
+        path_loss_linear(50.0, 2.4, c0_db=5000.0)  # overflows
 
 
 def test_path_loss_clamps_below_reference_with_warning():

@@ -334,7 +334,9 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         ])
         assert code == 2, (sweep, values)
         assert not out.exists()
-    for line in ("theta_rad = inf", "p_t_dbm = nan", "noise_dbm = nan", "ris_pos = 40,nan,10"):
+    for line in ("theta_rad = inf", "p_t_dbm = nan", "noise_dbm = nan", "ris_pos = 40,nan,10",
+                 "pathloss_ref_db = 5000", "pathloss_ref_db = -5000",
+                 "direct_link = 4.2,5000,8"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CFG_TEXT + line + "\n")
         code = cli_main([
@@ -345,19 +347,43 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         assert line.split()[0] in capsys.readouterr().err
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    sweep=st.sampled_from(["txpower", "lambda"]),
-    value=st.floats(allow_nan=True, allow_infinity=True),
-)
-def test_cli_any_sweep_value_keeps_exit_contract(sweep, value):
-    # a parsed float either gives finite rows or a documented exit code;
-    # an escaping exception fails the test
+def test_cli_vanishing_path_loss_exits_3(tmp_path, capsys):
+    # a legal exponent whose gain underflows to 0 is a numerical failure
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CFG_TEXT + "direct_link = 1000,3,8\n")
+    out = tmp_path / "x.csv"
+    code = cli_main([
+        "--config", str(bad), "--sweep", "lambda", "--values", "0", "--out", str(out),
+    ])
+    assert code == 3
+    assert "path-loss gain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_large_weight_runs(tmp_path):
+    # the Hermitian check scales with R, which grows with the weight
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text(CFG_TEXT)
+    out = tmp_path / "x.csv"
+    code = cli_main([
+        "--config", str(cfg_file), "--sweep", "lambda", "--values", "60,100,200",
+        "--drops", "2", "--out", str(out),
+    ])
+    assert code == 0
+    with open(out, newline="") as fh:
+        body = list(csv.reader(fh))[1:]
+    assert len(body) == 3 * 2 * len(Scheme)
+    assert all(math.isfinite(float(r[4])) for r in body)
+
+
+def _run_cli_expect_contract(cfg_text, sweep, value):
+    """Run one single-drop sweep value on cfg_text; the CLI must return 0
+    with finite rows, or 2/3 without writing a CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_file = os.path.join(tmp, "scenario.cfg")
         out = os.path.join(tmp, "out.csv")
         with open(cfg_file, "w") as fh:
-            fh.write(CFG_TEXT)
+            fh.write(cfg_text)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = cli_main([
@@ -372,3 +398,46 @@ def test_cli_any_sweep_value_keeps_exit_contract(sweep, value):
             assert all(math.isfinite(float(r[4])) and math.isfinite(float(r[5])) for r in body)
         else:
             assert not os.path.exists(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sweep=st.sampled_from(["txpower", "lambda"]),
+    value=st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_cli_any_sweep_value_keeps_exit_contract(sweep, value):
+    # a parsed float either gives finite rows or a documented exit code;
+    # an escaping exception fails the test
+    _run_cli_expect_contract(CFG_TEXT, sweep, value)
+
+
+_EXTREME = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, 300.0, -300.0]),
+    st.floats(),
+)
+_LINKS = ("direct_link", "ris_user_link", "bs_ris_link")
+_RIS_POS = ("ris_x", "ris_y", "ris_z")
+
+
+@settings(max_examples=30, deadline=None)
+@given(overrides=st.dictionaries(
+    st.sampled_from(("pathloss_ref_db", "p_t_dbm", "noise_dbm", "lambda_db", "theta_rad")
+                    + _LINKS + _RIS_POS),
+    _EXTREME,
+    min_size=1,
+    max_size=3,
+))
+def test_cli_any_parsed_config_keeps_exit_contract(overrides):
+    # up to three physical fields of a config file take extreme values (a
+    # link field its path-loss exponent, ris_x/y/z one surface coordinate);
+    # the rest keep their defaults so the numerical path is reached too
+    lines = []
+    for key, v in overrides.items():
+        if key in _LINKS:
+            lines.append(f"{key} = {v!r},3,2")
+        elif key not in _RIS_POS:
+            lines.append(f"{key} = {v!r}")
+    if any(key in overrides for key in _RIS_POS):
+        pos = (overrides.get(key, d) for key, d in zip(_RIS_POS, (40.0, 25.0, 10.0)))
+        lines.append("ris_pos = " + ",".join(repr(v) for v in pos))
+    _run_cli_expect_contract(CFG_TEXT + "\n".join(lines) + "\n", "lambda", 0.0)
