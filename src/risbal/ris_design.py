@@ -110,8 +110,12 @@ def p1_objective(phi: np.ndarray, R: np.ndarray) -> float:
 
 
 def p1_euclid_grad(phi: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Ambient gradient -R phi (scale convention absorbed by the line search)."""
-    return -(R @ phi)
+    """Ambient gradient -2 R phi of p1_objective.
+
+    Re<grad, t> is the objective's directional derivative along t, the slope
+    the solver's line search relies on.
+    """
+    return -2.0 * (R @ phi)
 
 
 def design_eigen(R: np.ndarray) -> np.ndarray:

@@ -17,11 +17,10 @@ from risbal import (
     SweepParam,
     balance_matrix,
     cascade,
-    design_eigen,
+    design_balanced,
     effective_channels,
     gen_channel_set,
     project_to_tangent,
-    rcg_minimize,
     retract_point,
     run_sweep,
     total_gain_matrix,
@@ -36,13 +35,6 @@ def _pipeline_balance(seed, lam=100.0, cfg=None):
     cfg = cfg if cfg is not None else ScenarioConfig()
     cs = gen_channel_set(cfg, np.random.default_rng(seed))
     return balance_matrix(*effective_channels(cs), lam)
-
-
-def _solve(R, rcg_cfg=None):
-    phi0 = design_eigen(R)
-    return rcg_minimize(
-        lambda p: -quadform(p, R), lambda p: -(R @ p), phi0, rcg_cfg
-    )
 
 
 def _se(samples):
@@ -84,7 +76,7 @@ def test_oracle_optimality_m3_grid():
         rng = np.random.default_rng(1000 + s)
         R = random_hermitian(3, rng)
         f_grid = grid_min_objective(R, levels=24)  # 13824 candidates
-        _, trace = _solve(R)
+        _, trace = design_balanced(R)
         gap = (trace.objective_values[-1] - f_grid) / abs(f_grid)
         if gap <= 0.02:
             hits += 1
@@ -101,7 +93,7 @@ def test_descent_and_gradient_convergence_m128():
     rcg_cfg = RcgConfig(max_iters=2000)
     grad_tol = 1e-6 * 128
     for s in range(n):
-        _, trace = _solve(_pipeline_balance(2000 + s, lam=100.0), rcg_cfg)
+        _, trace = design_balanced(_pipeline_balance(2000 + s, lam=100.0), rcg_cfg)
         assert np.all(np.diff(trace.objective_values) <= 0.0)
         if trace.final_grad_norm < grad_tol:
             converged += 1
@@ -233,9 +225,7 @@ def test_complexity_quadratic_in_surface_size():
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            _, trace = rcg_minimize(
-                lambda p: -quadform(p, R), lambda p: -(R @ p), phi0, cfg
-            )
+            _, trace = design_balanced(R, cfg, phi0)
             best = min(best, time.perf_counter() - t0)
             assert trace.converged_by is ConvergedBy.MAX_ITERS
         times.append(best)

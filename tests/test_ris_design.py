@@ -160,15 +160,14 @@ def test_gradient_zero_and_identity():
         p1_euclid_grad(phi, np.zeros((5, 5))), np.zeros(5)
     )
     np.testing.assert_allclose(
-        p1_euclid_grad(phi, np.eye(5, dtype=complex)), -phi,
+        p1_euclid_grad(phi, np.eye(5, dtype=complex)), -2.0 * phi,
         atol=1e-15,
     )
 
 
 def test_gradient_finite_difference_scale_convention():
-    # ambient directional derivative of -phi^H R phi equals twice the
-    # projected -R phi convention used here; the factor cancels inside the
-    # solver's line search
+    # the projected ambient gradient is the Riemannian gradient: its inner
+    # product with a unit tangent t equals the directional derivative
     rng = np.random.default_rng(12)
     R = random_hermitian(6, rng)
     phi = random_phi(6, rng)
@@ -178,8 +177,8 @@ def test_gradient_finite_difference_scale_convention():
         z = _random_complex(6, rng)
         t = project_to_tangent(z, phi)
         t /= np.linalg.norm(t)
-        fd = (-quadform(phi + h * t, R) + quadform(phi - h * t, R)) / (2 * h)
-        exact = 2.0 * float(np.real(np.vdot(g_proj, t)))
+        fd = (p1_objective(phi + h * t, R) - p1_objective(phi - h * t, R)) / (2 * h)
+        exact = float(np.real(np.vdot(g_proj, t)))
         assert abs(fd - exact) < 1e-6 * max(abs(exact), 1e-12)
 
 
