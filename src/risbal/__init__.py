@@ -35,7 +35,6 @@ from .manifold import (
     project_to_tangent,
     rcg_minimize,
     retract_point,
-    transport,
 )
 from .metrics import RateReport, evaluate
 from .ris_design import (

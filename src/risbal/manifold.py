@@ -21,6 +21,12 @@ from .errors import DimensionError, NumericalError, RetractionSingularError
 # PR+ safeguard: restart with steepest descent when the conjugate direction
 # stops being a sufficient descent direction (same guard scipy's CG uses).
 _DESCENT_SIGMA = 0.01
+# Armijo line search: first trial step, backtracking factor, sufficient-decrease
+# slope and the trial budget per search.
+_ARMIJO_INITIAL_STEP = 1.0
+_ARMIJO_CONTRACTION = 0.5
+_ARMIJO_SLOPE = 1e-4
+_MAX_LINE_SEARCH_STEPS = 50
 # Consecutive stagnant iterations required before the objective-decrease stop;
 # long enough for the gradient norm's endgame plunge to finish first.
 _STAGNATION_RUN = 25
@@ -57,14 +63,6 @@ def retract_point(x: np.ndarray) -> np.ndarray:
     return x / mag
 
 
-def transport(d: np.ndarray, phi_new: np.ndarray) -> np.ndarray:
-    """Transport a tangent vector into the tangent space at phi_new.
-
-    On the circle manifold this is the tangent projection at the new point.
-    """
-    return project_to_tangent(d, phi_new)
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)))
 
@@ -81,10 +79,6 @@ class RcgConfig:
     max_iters: int = 500
     grad_tol: float | None = None
     obj_tol: float = 1e-10
-    armijo_initial_step: float = 1.0
-    armijo_contraction: float = 0.5
-    armijo_slope: float = 1e-4
-    max_line_search_steps: int = 50
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -93,14 +87,6 @@ class RcgConfig:
             raise ValueError("grad_tol must be nonnegative")
         if self.obj_tol < 0:
             raise ValueError("obj_tol must be nonnegative")
-        if self.armijo_initial_step <= 0:
-            raise ValueError("armijo_initial_step must be positive")
-        if not 0.0 < self.armijo_contraction < 1.0:
-            raise ValueError("armijo_contraction must lie in (0, 1)")
-        if not 0.0 < self.armijo_slope < 1.0:
-            raise ValueError("armijo_slope must lie in (0, 1)")
-        if self.max_line_search_steps < 1:
-            raise ValueError("max_line_search_steps must be positive")
 
 
 class ConvergedBy(Enum):
@@ -127,13 +113,12 @@ def _armijo_search(
     g: np.ndarray,
     d: np.ndarray,
     gnorm_sq: float,
-    cfg: RcgConfig,
 ) -> tuple[np.ndarray, float, float] | None:
     """Backtracking line search along d from phi.
 
     Accepts the first trial alpha with
-        f(R(phi + alpha d)) <= f(phi) - armijo_slope * alpha * ||grad||^2.
-    The first trial is armijo_initial_step; if it fails, one retrial at the
+        f(R(phi + alpha d)) <= f(phi) - _ARMIJO_SLOPE * alpha * ||grad||^2.
+    The first trial is _ARMIJO_INITIAL_STEP; if it fails, one retrial at the
     minimizer of the parabola fitted through f(phi), the directional slope,
     and the failed trial; afterwards plain geometric backtracking. Returns
     (new point, new value, alpha) or None if every trial fails.
@@ -149,8 +134,8 @@ def _armijo_search(
             raise NumericalError("objective returned a non-finite value")
         return cand, fc
 
-    threshold = cfg.armijo_slope * gnorm_sq
-    alpha = cfg.armijo_initial_step
+    threshold = _ARMIJO_SLOPE * gnorm_sq
+    alpha = _ARMIJO_INITIAL_STEP
     trials = 0
 
     res = evaluate(alpha)
@@ -173,8 +158,8 @@ def _armijo_search(
                         if fc <= f_curr - alpha * threshold:
                             return cand, fc, alpha
 
-    while trials < cfg.max_line_search_steps:
-        alpha *= cfg.armijo_contraction
+    while trials < _MAX_LINE_SEARCH_STEPS:
+        alpha *= _ARMIJO_CONTRACTION
         res = evaluate(alpha)
         trials += 1
         if res is None:
@@ -234,18 +219,18 @@ def rcg_minimize(
             converged = ConvergedBy.GRAD_NORM
             break
 
-        accepted = _armijo_search(objective, phi, f, g, d, gnorm_sq, cfg)
+        accepted = _armijo_search(objective, phi, f, g, d, gnorm_sq)
         if accepted is None:
             d = -g  # steepest-descent restart, once
-            accepted = _armijo_search(objective, phi, f, g, d, gnorm_sq, cfg)
+            accepted = _armijo_search(objective, phi, f, g, d, gnorm_sq)
             if accepted is None:
                 converged = ConvergedBy.LINE_SEARCH
                 break
         phi_new, f_new, _alpha = accepted
 
         g_new = rgrad(phi_new)
-        beta = max(0.0, _inner(g_new, g_new - transport(g, phi_new)) / gnorm_sq)
-        d = -g_new + beta * transport(d, phi_new)
+        beta = max(0.0, _inner(g_new, g_new - project_to_tangent(g, phi_new)) / gnorm_sq)
+        d = -g_new + beta * project_to_tangent(d, phi_new)
         if _inner(d, g_new) > -_DESCENT_SIGMA * _inner(g_new, g_new):
             d = -g_new
 

@@ -29,7 +29,6 @@ from .beamform import composite_cell1, composite_cell2, slnr_beamformer
 from .channel import gen_channel_set
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NumericalError, RisbalError
-from .manifold import RcgConfig
 from .metrics import evaluate
 from .ris_design import balance_matrix, design_balanced, design_random, effective_channels
 
@@ -72,11 +71,7 @@ class SweepResult:
     num_drops: int
 
 
-def run_drop(
-    cfg: ScenarioConfig,
-    drop_seed: int,
-    rcg_cfg: RcgConfig | None = None,
-) -> dict[Scheme, tuple[float, float]]:
+def run_drop(cfg: ScenarioConfig, drop_seed: int) -> dict[Scheme, tuple[float, float]]:
     """One channel realization, all four schemes; returns (R1, R2) per scheme."""
     cfg.validate()
     chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
@@ -86,8 +81,8 @@ def run_drop(
     noise = channels.noise_var
     At1, At2 = effective_channels(channels)
     phis = {
-        Scheme.PROPOSED: design_balanced(balance_matrix(At1, At2, cfg.lambda_linear), rcg_cfg)[0],
-        Scheme.CONV_RIS: design_balanced(balance_matrix(At1, At2, 0.0), rcg_cfg)[0],
+        Scheme.PROPOSED: design_balanced(balance_matrix(At1, At2, cfg.lambda_linear))[0],
+        Scheme.CONV_RIS: design_balanced(balance_matrix(At1, At2, 0.0))[0],
         Scheme.RAND_RIS: design_random(cfg.ris_array.size, np.random.default_rng(phase_ss)),
     }
 
@@ -127,7 +122,6 @@ def run_sweep(
     sweep: SweepParam,
     values: list[float],
     crn: bool = False,
-    rcg_cfg: RcgConfig | None = None,
 ) -> list[SweepResult]:
     """Run num_drops independent drops per sweep value and aggregate."""
     if not values:
@@ -139,7 +133,7 @@ def run_sweep(
     results: list[SweepResult] = []
     for si, (value, cfg_v) in enumerate(zip(values, cfgs)):
         seeds = [drop_seed_for(cfg.seed, si, d, crn) for d in range(cfg.num_drops)]
-        drops = [run_drop(cfg_v, s, rcg_cfg) for s in seeds]
+        drops = [run_drop(cfg_v, s) for s in seeds]
 
         for scheme in Scheme:
             for cell, idx in ((Cell.CELL1, 0), (Cell.CELL2, 1)):

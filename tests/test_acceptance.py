@@ -90,10 +90,10 @@ def test_descent_and_gradient_convergence_m128():
     start = time.perf_counter()
     n = 100
     converged = 0
-    rcg_cfg = RcgConfig(max_iters=2000)
+    cfg = RcgConfig(max_iters=2000)
     grad_tol = 1e-6 * 128
     for s in range(n):
-        _, trace = design_balanced(_pipeline_balance(2000 + s, lam=100.0), rcg_cfg)
+        _, trace = design_balanced(_pipeline_balance(2000 + s, lam=100.0), cfg)
         assert np.all(np.diff(trace.objective_values) <= 0.0)
         if trace.final_grad_norm < grad_tol:
             converged += 1
