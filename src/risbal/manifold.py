@@ -3,6 +3,8 @@
 Points are length-M complex vectors with unit-modulus entries, stored as plain
 numpy arrays. Tangent vectors at phi satisfy Re(t_m * conj(phi_m)) = 0 per
 entry. The metric is the real part of the Euclidean Hermitian inner product.
+The solver stops on a small Riemannian gradient norm, at its iteration cap,
+or when its line search fails twice in a row.
 
 All functions are pure and never mutate their inputs; the solver is
 single-threaded per call and safe to run concurrently from many threads.
@@ -27,9 +29,6 @@ _ARMIJO_INITIAL_STEP = 1.0
 _ARMIJO_CONTRACTION = 0.5
 _ARMIJO_SLOPE = 1e-4
 _MAX_LINE_SEARCH_STEPS = 50
-# Consecutive stagnant iterations required before the objective-decrease stop;
-# long enough for the gradient norm's endgame plunge to finish first.
-_STAGNATION_RUN = 25
 
 
 def unit_modulus_error(phi: np.ndarray) -> float:
@@ -72,26 +71,21 @@ class RcgConfig:
     """Solver settings.
 
     grad_tol left at None resolves to 1e-6 * M at solve time (scale-aware
-    default). obj_tol is relative to the total objective decrease achieved
-    so far.
+    default).
     """
 
     max_iters: int = 500
     grad_tol: float | None = None
-    obj_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.grad_tol is not None and self.grad_tol < 0:
             raise ValueError("grad_tol must be nonnegative")
-        if self.obj_tol < 0:
-            raise ValueError("obj_tol must be nonnegative")
 
 
 class ConvergedBy(Enum):
     GRAD_NORM = "GradNorm"
-    OBJ_DELTA = "ObjDelta"
     MAX_ITERS = "MaxIters"
     LINE_SEARCH = "LineSearch"
 
@@ -179,12 +173,14 @@ def rcg_minimize(
     """Minimize a smooth objective over the complex circle manifold.
 
     Conjugate-gradient iteration with Polak-Ribiere+ direction updates,
-    vector transport of the previous direction, Armijo backtracking and
-    entry-wise normalization as the retraction. Stops when the Riemannian
-    gradient norm falls below grad_tol, when the objective decrease
-    stagnates relative to the total decrease achieved, or at max_iters.
-    A failed line search triggers one steepest-descent restart; a second
-    failure stops the solve with ConvergedBy.LINE_SEARCH.
+    vector transport of the previous direction by tangent projection at the
+    new point, Armijo backtracking and entry-wise normalization as the
+    retraction. The stop reasons, reported in RcgTrace.converged_by:
+
+      GRAD_NORM   the Riemannian gradient norm fell below grad_tol
+      MAX_ITERS   max_iters steps were taken
+      LINE_SEARCH a line search failed, and so did the one steepest-descent
+                  restart it triggers
     """
     if cfg is None:
         cfg = RcgConfig()
@@ -205,13 +201,11 @@ def rcg_minimize(
     f = float(objective(phi))
     if not np.isfinite(f):
         raise NumericalError("objective returned a non-finite value")
-    f_start = f
     g = rgrad(phi)
     d = -g
     values = [f]
     converged = ConvergedBy.MAX_ITERS
     iterations = 0
-    stagnant = 0
 
     for t in range(cfg.max_iters):
         gnorm_sq = _inner(g, g)
@@ -234,18 +228,9 @@ def rcg_minimize(
         if _inner(d, g_new) > -_DESCENT_SIGMA * _inner(g_new, g_new):
             d = -g_new
 
-        decrease = f - f_new
         phi, f, g = phi_new, f_new, g_new
         values.append(f)
         iterations = t + 1
-
-        if decrease < cfg.obj_tol * (f_start - f):
-            stagnant += 1
-            if stagnant >= _STAGNATION_RUN:
-                converged = ConvergedBy.OBJ_DELTA
-                break
-        else:
-            stagnant = 0
 
     trace = RcgTrace(
         objective_values=np.asarray(values),

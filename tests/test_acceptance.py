@@ -221,7 +221,7 @@ def test_complexity_quadratic_in_surface_size():
         rng = np.random.default_rng(M)
         R = random_hermitian(M, rng)
         phi0 = random_phi(M, rng)
-        cfg = RcgConfig(max_iters=iters, grad_tol=0.0, obj_tol=0.0)
+        cfg = RcgConfig(max_iters=iters, grad_tol=0.0)
         best = np.inf
         for _ in range(5):
             t0 = time.perf_counter()

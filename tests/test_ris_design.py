@@ -3,6 +3,8 @@ import pytest
 from conftest import grid_min_objective, quadform, random_hermitian, random_phi
 
 from risbal import (
+    ConvergedBy,
+    RcgConfig,
     ScenarioConfig,
     balance_matrix,
     cascade,
@@ -206,6 +208,15 @@ def test_design_balanced_improves_on_warm_start():
     phi, trace = design_balanced(R)
     assert trace.objective_values[-1] <= p1_objective(phi0, R)
     assert unit_modulus_error(phi) < 1e-12
+
+
+def test_design_balanced_slow_drop_stops_on_gradient_norm():
+    # at 20 dB this reference drop creeps along for many steps before its
+    # gradient is small; the solve must run until it is, not stop early
+    R = _balance(_channels(seed=2084), 100.0)
+    _, trace = design_balanced(R, RcgConfig(max_iters=2000))
+    assert trace.converged_by is ConvergedBy.GRAD_NORM
+    assert trace.final_grad_norm < 1e-6 * 128
 
 
 @pytest.mark.parametrize("seed", range(3))
