@@ -46,6 +46,9 @@ def slnr_beamformer(rows: np.ndarray, power_budget: float, noise_var: float) -> 
     For user k with channel row h_k^H:
         v_k = (sum_{j != k} h_j h_j^H + (K noise_var / P) I)^{-1} h_k
         f_k = sqrt(P / K) v_k / ||v_k||
+    By Sherman-Morrison v_k is a positive multiple of
+    (sum_j h_j h_j^H + (K noise_var / P) I)^{-1} h_k, so one solve against
+    the full Gram matrix gives every direction.
     """
     rows = np.asarray(rows, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[0] < 1:
@@ -53,20 +56,14 @@ def slnr_beamformer(rows: np.ndarray, power_budget: float, noise_var: float) -> 
     if power_budget <= 0 or noise_var <= 0:
         raise ValueError("power budget and noise variance must be positive")
     K, N = rows.shape
-    cols = np.conj(rows)                       # h_k as columns of rows index k
-    gram = cols.T @ rows                       # sum_j h_j h_j^H, (N, N)
+    cols = np.conj(rows).T                     # h_k as column k, (N, K)
+    gram = cols @ rows                         # sum_j h_j h_j^H, (N, N)
     reg = (K * noise_var / power_budget) * np.eye(N)
-    F = np.empty((N, K), dtype=np.complex128)
-    per_user = power_budget / K
-    for k in range(K):
-        h = cols[k]
-        leak = gram - np.outer(h, np.conj(h)) + reg
-        try:
-            v = np.linalg.solve(leak, h)
-        except np.linalg.LinAlgError as exc:  # regularizer makes this unreachable
-            raise NumericalError(f"leakage system solve failed: {exc}") from exc
-        norm = np.linalg.norm(v)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise NumericalError("degenerate beam direction")
-        F[:, k] = np.sqrt(per_user) * v / norm
-    return F
+    try:
+        V = np.linalg.solve(gram + reg, cols)
+    except np.linalg.LinAlgError as exc:  # regularizer makes this unreachable
+        raise NumericalError(f"leakage system solve failed: {exc}") from exc
+    norms = np.linalg.norm(V, axis=0)
+    if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
+        raise NumericalError("degenerate beam direction")
+    return np.sqrt(power_budget / K) * V / norms

@@ -107,6 +107,21 @@ def test_slnr_single_user_matched_filter():
     np.testing.assert_allclose(bf[:, 0], expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("K,N,s2", [(1, 8, 1e-3), (4, 16, 1e-2), (4, 4, 1e-4), (6, 4, 1e-1)])
+def test_slnr_matches_per_user_leakage_solve(K, N, s2):
+    rng = np.random.default_rng(K * 100 + N)
+    rows = _rand((K, N), rng)
+    P = 2.0
+    bf = slnr_beamformer(rows, P, s2)
+    for k in range(K):
+        h = np.conj(rows[k])
+        others = np.delete(rows, k, axis=0)
+        leak = others.conj().T @ others + (K * s2 / P) * np.eye(N)
+        v = np.linalg.solve(leak, h)
+        expected = np.sqrt(P / K) * v / np.linalg.norm(v)
+        np.testing.assert_allclose(bf[:, k], expected, rtol=0, atol=1e-9 * np.sqrt(P / K))
+
+
 def test_slnr_orthogonal_rows_align_with_users():
     # leakage matrix acts as a scaled identity on each user's direction
     rows = np.zeros((3, 6), dtype=complex)
