@@ -17,8 +17,10 @@ index). Drops run in order in one process; BLAS threads
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -159,8 +161,10 @@ def run_sweep(
 def write_csv(results: list[SweepResult], path: str, sweep: SweepParam) -> None:
     """Emit results sorted by (sweep_value, scheme, cell), 9 significant digits.
 
-    Raises NumericalError, before the file is opened, if any row holds a
-    non-finite rate or standard error.
+    Raises NumericalError, before any file is opened, if any row holds a
+    non-finite rate or standard error. The rows go to ``<path>.tmp``, which
+    then replaces ``path``; on any failure the temporary file is removed and
+    an existing file at ``path`` is left as it was.
     """
     for r in results:
         if not (math.isfinite(r.mean_sum_rate) and math.isfinite(r.std_err)):
@@ -168,24 +172,31 @@ def write_csv(results: list[SweepResult], path: str, sweep: SweepParam) -> None:
                 f"non-finite result for {r.scheme.value}/{r.cell.value} at {r.sweep_value:g}"
             )
     ordered = sorted(results, key=lambda r: (r.sweep_value, r.scheme.value, r.cell.value))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scheme", "cell", "sweep_param", "sweep_value",
-             "mean_sum_rate_bps_hz", "std_err", "num_drops"]
-        )
-        for r in ordered:
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
             writer.writerow(
-                [
-                    r.scheme.value,
-                    r.cell.value,
-                    sweep.value,
-                    f"{r.sweep_value:.9g}",
-                    f"{r.mean_sum_rate:.9g}",
-                    f"{r.std_err:.9g}",
-                    r.num_drops,
-                ]
+                ["scheme", "cell", "sweep_param", "sweep_value",
+                 "mean_sum_rate_bps_hz", "std_err", "num_drops"]
             )
+            for r in ordered:
+                writer.writerow(
+                    [
+                        r.scheme.value,
+                        r.cell.value,
+                        sweep.value,
+                        f"{r.sweep_value:.9g}",
+                        f"{r.mean_sum_rate:.9g}",
+                        f"{r.std_err:.9g}",
+                        r.num_drops,
+                    ]
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,6 +265,3 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(cli_main())

@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -243,6 +245,30 @@ def test_write_csv_refuses_nonfinite_rows(tmp_path):
     assert not out.exists()
 
 
+def test_write_csv_failure_keeps_existing_file(tmp_path, monkeypatch):
+    results = run_sweep(small_cfg(num_drops=2), SweepParam.LAMBDA_DB, [10.0])
+    out = tmp_path / "res.csv"
+    out.write_bytes(b"earlier results\n")
+    real_writer = csv.writer
+
+    class FailAfterHeader:
+        def __init__(self, fh):
+            self._writer = real_writer(fh)
+            self._rows = 0
+
+        def writerow(self, row):
+            if self._rows:
+                raise OSError("disk full")
+            self._rows += 1
+            self._writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", FailAfterHeader)
+    with pytest.raises(OSError):
+        write_csv(results, str(out), SweepParam.LAMBDA_DB)
+    assert out.read_bytes() == b"earlier results\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv"]
+
+
 def test_config_bad_value_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("users_per_cell = many")
@@ -279,6 +305,23 @@ def test_cli_end_to_end(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 3 * len(Scheme) * 2
+
+
+def test_python_m_risbal_runs_without_warnings(tmp_path):
+    import risbal
+
+    src = os.path.dirname(os.path.dirname(risbal.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "results.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "risbal",
+         "--sweep", "lambda", "--values", "0", "--drops", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert out.read_text().startswith("scheme,cell,")
 
 
 def test_cli_seed_flag_overrides(tmp_path):
