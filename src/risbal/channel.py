@@ -188,7 +188,6 @@ def _distance(a: Position3D, b: Position3D) -> float:
 
 def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> ChannelSet:
     """Draw user positions and every channel matrix for one Monte Carlo drop."""
-    scenario.validate()
     # independent child streams per family keeps e.g. the direct links
     # untouched when only surface-side parameters change
     s_pos1, s_pos2, s_g1, s_g2, s_hr1, s_hr2, s_hd2 = rng.spawn(7)

@@ -83,6 +83,9 @@ class RicianLinkParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """Whole scenario; building one (also by ``replace``) raises ConfigError
+    if any value is invalid, so every instance is valid."""
+
     bs1_array: ArrayGeometry = ArrayGeometry(4, 4)
     bs2_array: ArrayGeometry = ArrayGeometry(4, 4)
     ris_array: ArrayGeometry = ArrayGeometry(8, 16)
@@ -106,6 +109,9 @@ class ScenarioConfig:
     lambda_db: float = 20.0
     num_drops: int = 100
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.users_per_cell < 1:
@@ -254,9 +260,7 @@ def parse_config_text(text: str, base: ScenarioConfig | None = None) -> Scenario
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         parser = _PARSERS.get(key)
         overrides[key] = parser(value, key) if parser else _parse_float(value, key)
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def load_config(path: str, base: ScenarioConfig | None = None) -> ScenarioConfig:

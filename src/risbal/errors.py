@@ -29,9 +29,9 @@ class EmptyInputError(RisbalError, ValueError):
     """An operation received an empty collection."""
 
 
-class NormalizationError(RisbalError, ValueError):
-    """A matrix with zero norm cannot be normalized (degenerate channel draw)."""
+class NormalizationError(NumericalError):
+    """A gain matrix whose norm is zero or overflows cannot be normalized."""
 
 
 class HermitianViolationError(NumericalError):
-    """A quadratic form produced a non-negligible imaginary part."""
+    """A balance matrix is not Hermitian up to roundoff."""

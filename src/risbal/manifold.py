@@ -12,7 +12,7 @@ single-threaded per call and safe to run concurrently from many threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -97,7 +97,7 @@ class RcgTrace:
     objective_values: np.ndarray
     iterations: int
     converged_by: ConvergedBy
-    final_grad_norm: float = field(default=np.nan)
+    final_grad_norm: float
 
 
 def _armijo_search(

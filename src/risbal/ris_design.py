@@ -42,7 +42,7 @@ __all__ = [
     "design_random",
 ]
 
-_QUADFORM_IMAG_TOL = 1e-9
+_HERMITIAN_TOL = 1e-9
 
 
 def cascade(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -68,7 +68,8 @@ def total_gain_matrix(As: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _gram_total(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """sum_k A_k A_k^H as the Schur product (G G^H) o (H^H H), rows of H = h_k."""
+    """sum_k A_k A_k^H as the Schur product (G G^H) o (H^H H), rows of H = h_k,
+    symmetrized to be exactly Hermitian (balance_matrix keeps it so)."""
     total = (G @ G.conj().T) * (h_r.conj().T @ h_r)
     return (total + total.conj().T) / 2.0
 
@@ -82,31 +83,21 @@ def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
-    """Hermitian R = At1/||At1||_F - lam * At2/||At2||_F."""
+    """R = At1/||At1||_F - lam * At2/||At2||_F, Hermitian when both totals are."""
     if lam < 0:
         raise ValueError("balancing weight must be nonnegative")
     n1 = np.linalg.norm(At1)
     n2 = np.linalg.norm(At2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise NormalizationError("zero-norm gain matrix; degenerate channel draw")
-    R = At1 / n1 - lam * (At2 / n2)
-    return (R + R.conj().T) / 2.0
+    if not (0.0 < n1 < np.inf and 0.0 < n2 < np.inf):
+        raise NormalizationError(
+            f"gain-total norms {n1:.3e}, {n2:.3e} must be positive and finite"
+        )
+    return At1 / n1 - lam * (At2 / n2)
 
 
 def p1_objective(phi: np.ndarray, R: np.ndarray) -> float:
-    """-phi^H R phi; the quadratic form must be real up to roundoff.
-
-    Roundoff scales with ||phi|| ||R phi||, the Cauchy-Schwarz bound on the
-    form, so the tolerance on its imaginary part does too.
-    """
-    Rphi = R @ phi
-    z = np.vdot(phi, Rphi)
-    tol = _QUADFORM_IMAG_TOL * np.linalg.norm(phi) * np.linalg.norm(Rphi)
-    if abs(z.imag) > tol:
-        raise HermitianViolationError(
-            f"quadratic form has imaginary part {z.imag:.3e}; R is not Hermitian"
-        )
-    return -float(z.real)
+    """-Re(phi^H R phi); R is assumed Hermitian, which design_balanced checks."""
+    return -float(np.vdot(phi, R @ phi).real)
 
 
 def p1_euclid_grad(phi: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -121,7 +112,9 @@ def p1_euclid_grad(phi: np.ndarray, R: np.ndarray) -> np.ndarray:
 def design_eigen(R: np.ndarray) -> np.ndarray:
     """Relaxation baseline: normalize each entry of the top eigenvector of R.
 
-    An exactly zero entry has no defined phase and is set to phase 0.
+    An exactly zero entry has no defined phase and is set to phase 0. eigh
+    reads one triangle of R only, so R must be Hermitian (design_balanced
+    checks it).
     """
     try:
         _, vecs = np.linalg.eigh(R)
@@ -146,9 +139,13 @@ def design_balanced(
 ) -> tuple[np.ndarray, RcgTrace]:
     """Maximize phi^H R phi over unit-modulus phi with the manifold CG solver.
 
-    phi0 defaults to the eigenvector-rounded warm start, which the solver can
-    only improve; random phases are the fallback if the eigensolve fails.
+    R must be Hermitian: ||R - R^H||_F <= _HERMITIAN_TOL * ||R||_F, checked
+    here once per design, or HermitianViolationError is raised. phi0 defaults
+    to the eigenvector-rounded warm start, which the solver can only improve;
+    random phases are the fallback if the eigensolve fails.
     """
+    if np.linalg.norm(R - R.conj().T) > _HERMITIAN_TOL * np.linalg.norm(R):
+        raise HermitianViolationError("balance matrix R is not Hermitian")
     if phi0 is None:
         try:
             phi0 = design_eigen(R)

@@ -75,7 +75,6 @@ class SweepResult:
 
 def run_drop(cfg: ScenarioConfig, drop_seed: int) -> dict[Scheme, tuple[float, float]]:
     """One channel realization, all four schemes; returns (R1, R2) per scheme."""
-    cfg.validate()
     chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
     channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
 
@@ -129,8 +128,6 @@ def run_sweep(
     if not values:
         raise ConfigError("sweep needs at least one value")
     cfgs = [_apply_sweep_value(cfg, sweep, float(value)) for value in values]
-    for cfg_v in cfgs:
-        cfg_v.validate()
 
     results: list[SweepResult] = []
     for si, (value, cfg_v) in enumerate(zip(values, cfgs)):
@@ -246,7 +243,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         except ValueError:
             raise ConfigError(f"--values must be a comma-separated number list, got {args.values!r}")
         sweep = SweepParam(args.sweep)
-        cfg.validate()
     except ConfigError as exc:
         print(f"risbal: config error: {exc}", file=sys.stderr)
         return 2

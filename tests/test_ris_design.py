@@ -116,11 +116,17 @@ def test_balance_matrix_definition_at_20db():
     expected = At1 / np.linalg.norm(At1) - 100.0 * At2 / np.linalg.norm(At2)
     assert np.linalg.norm(R - expected) < 1e-12
     np.testing.assert_allclose(R, R.conj().T, atol=1e-10)
+    # Gram totals from a channel draw are exactly Hermitian, and so is R
+    R = _balance(_channels(seed=7), 100.0)
+    assert np.array_equal(R, R.conj().T)
 
 
 def test_balance_matrix_zero_norm_raises():
     with pytest.raises(NormalizationError):
         balance_matrix(np.zeros((2, 2)), np.eye(2), 1.0)
+    # finite entries whose Frobenius norm overflows to inf
+    with pytest.raises(NormalizationError), np.errstate(over="ignore"):
+        balance_matrix(np.eye(2), np.full((2, 2), 1e200), 1.0)
 
 
 # ----------------------------------------------------------- objective, grad
@@ -148,11 +154,15 @@ def test_objective_matches_double_sum():
     assert abs(double_sum.imag) < 1e-9
 
 
-def test_objective_rejects_non_hermitian():
+def test_design_balanced_rejects_non_hermitian():
     rng = np.random.default_rng(10)
     X = _random_complex((3, 3), rng)  # generic, far from Hermitian
     with pytest.raises(HermitianViolationError):
-        p1_objective(random_phi(3, rng), X)
+        design_balanced(X)
+    # a Gram product without explicit symmetrization is Hermitian to roundoff
+    A = _random_complex((3, 2), rng)
+    phi, _ = design_balanced(A @ A.conj().T)
+    assert unit_modulus_error(phi) < 1e-12
 
 
 def test_gradient_zero_and_identity():

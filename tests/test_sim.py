@@ -227,8 +227,8 @@ def test_config_validation_rejects_degenerate_values():
         dict(direct_link=RicianLinkParams(4.2, nan, 8)),
     ):
         with pytest.raises(ConfigError):
-            replace(ScenarioConfig(), **bad).validate()
-    replace(ScenarioConfig(), lambda_db=-math.inf).validate()
+            replace(ScenarioConfig(), **bad)
+    replace(ScenarioConfig(), lambda_db=-math.inf)
 
 
 def test_sweep_validates_each_value():
@@ -391,16 +391,27 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
 
 
 def test_cli_vanishing_path_loss_exits_3(tmp_path, capsys):
-    # a legal exponent whose gain underflows to 0 is a numerical failure
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(CFG_TEXT + "direct_link = 1000,3,8\n")
-    out = tmp_path / "x.csv"
-    code = cli_main([
-        "--config", str(bad), "--sweep", "lambda", "--values", "0", "--out", str(out),
-    ])
-    assert code == 3
-    assert "path-loss gain" in capsys.readouterr().err
-    assert not out.exists()
+    # a gain the numbers cannot carry is a numerical failure, not a config error
+    for line, message in (
+        # a legal exponent whose gain underflows to 0
+        ("direct_link = 1000,3,8", "path-loss gain"),
+        # a reference gain so small that both Gram totals underflow to 0
+        ("pathloss_ref_db = -1000", "gain-total norms"),
+        # finite Gram totals whose Frobenius norms overflow to inf
+        ("pathloss_ref_db = 1000", "gain-total norms"),
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CFG_TEXT + line + "\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli_main([
+                "--config", str(bad), "--sweep", "lambda", "--values", "20",
+                "--out", str(out),
+            ])
+        assert code == 3, line
+        assert message in capsys.readouterr().err, line
+        assert not out.exists(), line
 
 
 def test_cli_large_weight_runs(tmp_path):
