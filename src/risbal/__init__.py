@@ -4,10 +4,10 @@ The surface serves one cell's otherwise-blocked users while its reflections
 leak, uncontrolled, into a co-located cell owned by a different operator.
 The design trades the serving cell's reflective gain against the victim
 cell's uncontrolled gain through a weighted, Frobenius-normalized balance
-matrix, optimized over unit-modulus coefficients by Riemannian conjugate
-gradient on the complex circle manifold. A seeded Monte Carlo harness
-evaluates the design against conventional, random, and surface-free
-baselines in a Rician downlink with leakage-based precoding.
+matrix, optimized over unit-modulus coefficients by a Riemannian
+trust-region method on the complex circle manifold. A seeded Monte Carlo
+harness evaluates the design against conventional, random, and
+surface-free baselines in a Rician downlink with leakage-based precoding.
 """
 
 from .beamform import composite_cell1, composite_cell2, slnr_beamformer
@@ -39,14 +39,12 @@ from .manifold import (
 from .metrics import RateReport, evaluate
 from .ris_design import (
     balance_matrix,
-    cascade,
     design_balanced,
     design_eigen,
     design_random,
     effective_channels,
     p1_euclid_grad,
     p1_objective,
-    total_gain_matrix,
 )
 from .sim import (
     Cell,

@@ -25,10 +25,6 @@ class ConfigError(RisbalError, ValueError):
     """Invalid or unreadable scenario configuration."""
 
 
-class EmptyInputError(RisbalError, ValueError):
-    """An operation received an empty collection."""
-
-
 class NormalizationError(NumericalError):
     """A gain matrix whose norm is zero or overflows cannot be normalized."""
 

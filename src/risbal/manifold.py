@@ -1,10 +1,10 @@
-"""Complex circle manifold primitives and a Riemannian conjugate-gradient minimizer.
+"""Complex circle manifold primitives and a Riemannian trust-region minimizer.
 
 Points are length-M complex vectors with unit-modulus entries, stored as plain
 numpy arrays. Tangent vectors at phi satisfy Re(t_m * conj(phi_m)) = 0 per
 entry. The metric is the real part of the Euclidean Hermitian inner product.
 The solver stops on a small Riemannian gradient norm, at its iteration cap,
-or when its line search fails twice in a row.
+or when its trust radius has shrunk below what double precision resolves.
 
 All functions are pure and never mutate their inputs; the solver is
 single-threaded per call and safe to run concurrently from many threads.
@@ -20,15 +20,14 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, RetractionSingularError
 
-# PR+ safeguard: restart with steepest descent when the conjugate direction
-# stops being a sufficient descent direction (same guard scipy's CG uses).
-_DESCENT_SIGMA = 0.01
-# Armijo line search: first trial step, backtracking factor, sufficient-decrease
-# slope and the trial budget per search.
-_ARMIJO_INITIAL_STEP = 1.0
-_ARMIJO_CONTRACTION = 0.5
-_ARMIJO_SLOPE = 1e-4
-_MAX_LINE_SEARCH_STEPS = 50
+# Trust-region settings, Manopt's defaults: accept a step whose decrease is
+# over _RHO_ACCEPT of the model's; shrink the radius 4x below _RHO_SHRINK and
+# double it above _RHO_GROW on a boundary step. Truncated CG stops at
+# ||r|| <= ||r0|| * min(||r0||, _TCG_KAPPA), superlinear near a minimizer.
+_RHO_ACCEPT = 0.1
+_RHO_SHRINK = 0.25
+_RHO_GROW = 0.75
+_TCG_KAPPA = 0.1
 
 
 def unit_modulus_error(phi: np.ndarray) -> float:
@@ -87,12 +86,13 @@ class RcgConfig:
 class ConvergedBy(Enum):
     GRAD_NORM = "GradNorm"
     MAX_ITERS = "MaxIters"
-    LINE_SEARCH = "LineSearch"
+    TRUST_REGION = "TrustRegion"
 
 
 @dataclass
 class RcgTrace:
-    """Per-solve record: objective after each accepted step, first entry at phi0."""
+    """Per-solve record: objective after each outer iteration, first entry at
+    phi0; a rejected step repeats the previous value."""
 
     objective_values: np.ndarray
     iterations: int
@@ -100,68 +100,49 @@ class RcgTrace:
     final_grad_norm: float
 
 
-def _armijo_search(
-    objective: Callable[[np.ndarray], float],
-    phi: np.ndarray,
-    f_curr: float,
+def _truncated_cg(
+    hess: Callable[[np.ndarray], np.ndarray],
     g: np.ndarray,
-    d: np.ndarray,
-    gnorm_sq: float,
-) -> tuple[np.ndarray, float, float] | None:
-    """Backtracking line search along d from phi.
+    radius: float,
+    max_inner: int,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Steihaug-Toint truncated CG on the model <g, eta> + <eta, Hess[eta]>/2.
 
-    Accepts the first trial alpha with
-        f(R(phi + alpha d)) <= f(phi) - _ARMIJO_SLOPE * alpha * ||grad||^2.
-    The first trial is _ARMIJO_INITIAL_STEP; if it fails, one retrial at the
-    minimizer of the parabola fitted through f(phi), the directional slope,
-    and the failed trial; afterwards plain geometric backtracking. Returns
-    (new point, new value, alpha) or None if every trial fails.
+    Starts at eta = 0 and runs CG until the residual is small or max_inner
+    iterations have passed. On negative curvature, or when the next iterate
+    would leave the ball ||eta|| <= radius, it steps along the current
+    direction to the boundary instead. Each iterate lowers the model. Returns
+    (eta, Hess[eta], whether eta lies on the boundary).
     """
-
-    def evaluate(alpha: float) -> tuple[np.ndarray, float] | None:
-        try:
-            cand = retract_point(phi + alpha * d)
-        except RetractionSingularError:
-            return None  # degenerate step; caller shrinks alpha
-        fc = float(objective(cand))
-        if not np.isfinite(fc):
-            raise NumericalError("objective returned a non-finite value")
-        return cand, fc
-
-    threshold = _ARMIJO_SLOPE * gnorm_sq
-    alpha = _ARMIJO_INITIAL_STEP
-    trials = 0
-
-    res = evaluate(alpha)
-    trials += 1
-    if res is not None:
-        cand, fc = res
-        if fc <= f_curr - alpha * threshold:
-            return cand, fc, alpha
-        slope0 = _inner(g, d)
-        if slope0 < 0.0:
-            denom = fc - f_curr - slope0 * alpha
-            if denom > 0.0:
-                a_fit = -slope0 * alpha * alpha / (2.0 * denom)
-                if 0.0 < a_fit < alpha:
-                    alpha = a_fit
-                    res = evaluate(alpha)
-                    trials += 1
-                    if res is not None:
-                        cand, fc = res
-                        if fc <= f_curr - alpha * threshold:
-                            return cand, fc, alpha
-
-    while trials < _MAX_LINE_SEARCH_STEPS:
-        alpha *= _ARMIJO_CONTRACTION
-        res = evaluate(alpha)
-        trials += 1
-        if res is None:
-            continue
-        cand, fc = res
-        if fc <= f_curr - alpha * threshold:
-            return cand, fc, alpha
-    return None
+    eta = np.zeros_like(g)
+    h_eta = np.zeros_like(g)
+    r = g
+    r_r = _inner(r, r)
+    if r_r == 0.0:
+        return eta, h_eta, False
+    r0_norm = np.sqrt(r_r)
+    target = r0_norm * min(r0_norm, _TCG_KAPPA)
+    delta = -r
+    for _ in range(max_inner):
+        h_delta = hess(delta)
+        d_hd = _inner(delta, h_delta)
+        # tau solves ||eta + tau delta|| = radius; comparing alpha = r_r/d_hd
+        # with it by product avoids dividing by a vanishing curvature
+        e_d, d_d = _inner(eta, delta), _inner(delta, delta)
+        room = max(0.0, radius * radius - _inner(eta, eta))
+        tau = (np.sqrt(e_d * e_d + d_d * room) - e_d) / d_d
+        if d_hd <= 0.0 or r_r >= tau * d_hd:
+            return eta + tau * delta, h_eta + tau * h_delta, True
+        alpha = r_r / d_hd
+        eta = eta + alpha * delta
+        h_eta = h_eta + alpha * h_delta
+        r = r + alpha * h_delta
+        r_r_next = _inner(r, r)
+        if np.sqrt(r_r_next) <= target:
+            break
+        delta = -r + (r_r_next / r_r) * delta
+        r_r = r_r_next
+    return eta, h_eta, False
 
 
 def rcg_minimize(
@@ -172,15 +153,21 @@ def rcg_minimize(
 ) -> tuple[np.ndarray, RcgTrace]:
     """Minimize a smooth objective over the complex circle manifold.
 
-    Conjugate-gradient iteration with Polak-Ribiere+ direction updates,
-    vector transport of the previous direction by tangent projection at the
-    new point, Armijo backtracking and entry-wise normalization as the
-    retraction. The stop reasons, reported in RcgTrace.converged_by:
+    Riemannian trust-region method (Absil, Baker & Gallivan 2007) with a
+    truncated-CG inner solve and entry-wise normalization as the retraction.
+    The trust radius starts at pi * sqrt(M) / 8 and is capped at pi * sqrt(M).
+    Hessian-vector products are
+        Hess f(phi)[u] = P_phi(ehess[u] - Re(egrad * conj(phi)) * u),
+    where P_phi is project_to_tangent and ehess[u] is the difference quotient
+    of euclid_grad over the unit-norm step u / ||u||; it is exact for affine
+    gradients such as -2 R phi, and costs one euclid_grad call. The stop
+    reasons, reported in RcgTrace.converged_by:
 
-      GRAD_NORM   the Riemannian gradient norm fell below grad_tol
-      MAX_ITERS   max_iters steps were taken
-      LINE_SEARCH a line search failed, and so did the one steepest-descent
-                  restart it triggers
+      GRAD_NORM    the Riemannian gradient norm fell below grad_tol
+      MAX_ITERS    max_iters outer iterations were taken
+      TRUST_REGION the trust radius fell below eps * pi * sqrt(M) after
+                   rejected steps, so no double-precision step lowers the
+                   objective
     """
     if cfg is None:
         cfg = RcgConfig()
@@ -191,44 +178,56 @@ def rcg_minimize(
         raise ValueError("phi0 must have unit-modulus entries")
     M = phi.size
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * M
+    max_radius = np.pi * np.sqrt(M)
+    radius = max_radius / 8.0
 
-    def rgrad(point: np.ndarray) -> np.ndarray:
-        g = project_to_tangent(np.asarray(euclid_grad(point), dtype=np.complex128), point)
-        if not np.all(np.isfinite(g)):
+    def value(point: np.ndarray) -> float:
+        fp = float(objective(point))
+        if not np.isfinite(fp):
+            raise NumericalError("objective returned a non-finite value")
+        return fp
+
+    def egrad(point: np.ndarray) -> np.ndarray:
+        eg = np.asarray(euclid_grad(point), dtype=np.complex128)
+        if not np.all(np.isfinite(eg)):
             raise NumericalError("gradient returned non-finite values")
-        return g
+        return eg
 
-    f = float(objective(phi))
-    if not np.isfinite(f):
-        raise NumericalError("objective returned a non-finite value")
-    g = rgrad(phi)
-    d = -g
+    f = value(phi)
+    eg = egrad(phi)
+    g = project_to_tangent(eg, phi)
     values = [f]
     converged = ConvergedBy.MAX_ITERS
     iterations = 0
 
     for t in range(cfg.max_iters):
-        gnorm_sq = _inner(g, g)
-        if np.sqrt(gnorm_sq) < grad_tol:
+        if np.sqrt(_inner(g, g)) < grad_tol:
             converged = ConvergedBy.GRAD_NORM
             break
+        if radius < np.finfo(float).eps * max_radius:
+            converged = ConvergedBy.TRUST_REGION
+            break
 
-        accepted = _armijo_search(objective, phi, f, g, d, gnorm_sq)
-        if accepted is None:
-            d = -g  # steepest-descent restart, once
-            accepted = _armijo_search(objective, phi, f, g, d, gnorm_sq)
-            if accepted is None:
-                converged = ConvergedBy.LINE_SEARCH
-                break
-        phi_new, f_new, _alpha = accepted
+        curvature = np.real(eg * np.conj(phi))
 
-        g_new = rgrad(phi_new)
-        beta = max(0.0, _inner(g_new, g_new - project_to_tangent(g, phi_new)) / gnorm_sq)
-        d = -g_new + beta * project_to_tangent(d, phi_new)
-        if _inner(d, g_new) > -_DESCENT_SIGMA * _inner(g_new, g_new):
-            d = -g_new
+        def hess(u: np.ndarray) -> np.ndarray:
+            s = 1.0 / np.sqrt(_inner(u, u))
+            ehess = (egrad(phi + s * u) - eg) / s
+            return project_to_tangent(ehess - curvature * u, phi)
 
-        phi, f, g = phi_new, f_new, g_new
+        eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+        cand = retract_point(phi + eta)
+        f_cand = value(cand)
+        actual = f - f_cand
+        predicted = -(_inner(g, eta) + 0.5 * _inner(eta, h_eta))
+        # the ratio rho = actual / predicted, tested by products
+        if not (predicted > 0.0 and actual >= _RHO_SHRINK * predicted):
+            radius /= 4.0
+        elif at_boundary and actual > _RHO_GROW * predicted:
+            radius = min(2.0 * radius, max_radius)
+        if predicted > 0.0 and actual > _RHO_ACCEPT * predicted:
+            phi, f, eg = cand, f_cand, egrad(cand)
+            g = project_to_tangent(eg, phi)
         values.append(f)
         iterations = t + 1
 

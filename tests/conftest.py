@@ -24,6 +24,18 @@ def quadform(phi, R):
     return float(np.real(np.vdot(phi, R @ phi)))
 
 
+def cascade(h_r, G):
+    """Cascaded matrix diag(h_r^H) G, i.e. A[m, n] = conj(h_r[m]) G[m, n]."""
+    return np.conj(h_r)[:, None] * G
+
+
+def total_gain_matrix(As):
+    """Reference Gram total sum_k A_k A_k^H, summed term by term and
+    symmetrized; effective_channels forms it as a Schur product instead."""
+    total = sum(A @ A.conj().T for A in As)
+    return (total + total.conj().T) / 2.0
+
+
 def grid_min_objective(R, levels=24):
     """Exhaustive phase-grid minimum of -phi^H R phi (independent oracle)."""
     M = R.shape[0]

@@ -8,7 +8,15 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from conftest import grid_min_objective, quadform, random_hermitian, random_phi, random_tangent
+from conftest import (
+    cascade,
+    grid_min_objective,
+    quadform,
+    random_hermitian,
+    random_phi,
+    random_tangent,
+    total_gain_matrix,
+)
 
 from risbal import (
     RcgConfig,
@@ -16,14 +24,12 @@ from risbal import (
     Scheme,
     SweepParam,
     balance_matrix,
-    cascade,
     design_balanced,
     effective_channels,
     gen_channel_set,
     project_to_tangent,
     retract_point,
     run_sweep,
-    total_gain_matrix,
     write_csv,
 )
 from risbal.manifold import ConvergedBy, tangency_error, unit_modulus_error

@@ -4,7 +4,7 @@ from conftest import grid_min_objective, quadform, random_hermitian, random_phi,
 
 from risbal import ConvergedBy, RcgConfig, project_to_tangent, rcg_minimize, retract_point
 from risbal.errors import DimensionError, NumericalError, RetractionSingularError
-from risbal.manifold import _ARMIJO_SLOPE, _armijo_search, tangency_error, unit_modulus_error
+from risbal.manifold import _truncated_cg, tangency_error, unit_modulus_error
 
 
 # ---------------------------------------------------------------- projection
@@ -77,26 +77,33 @@ def test_rcg_config_rejects_bad_values():
             RcgConfig(**kwargs)
 
 
-# --------------------------------------------------------------- line search
+# ------------------------------------------------------------- inner solve
 
-def test_armijo_accepted_step_satisfies_sufficient_decrease():
+@pytest.mark.parametrize("definite", [False, True])
+@pytest.mark.parametrize("radius", [1e-3, 0.5, 100.0])
+def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
+    # an indefinite Hessian sends every solve to the boundary; a
+    # positive-definite one lets a large radius hold the CG solution inside
     rng = np.random.default_rng(6)
     M = 8
-    R = random_hermitian(M, rng)
+    H = random_hermitian(M, rng)
+    if definite:
+        H = H @ H + np.eye(M)
     phi = random_phi(M, rng)
+    g = random_tangent(phi, rng)
 
-    def objective(p):
-        return -quadform(p, R)
+    def hess(u):
+        return project_to_tangent(H @ u, phi)
 
-    g = project_to_tangent(-2.0 * (R @ phi), phi)
-    d = -g
-    gg = float(np.real(np.vdot(g, g)))
-    f0 = objective(phi)
-    res = _armijo_search(objective, phi, f0, g, d, gg)
-    assert res is not None
-    cand, fc, alpha = res
-    assert fc <= f0 - _ARMIJO_SLOPE * alpha * gg
-    assert unit_modulus_error(cand) < 1e-12
+    eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+    norm = np.linalg.norm(eta)
+    assert norm <= radius * (1 + 1e-12)
+    assert at_boundary == (norm >= radius * (1 - 1e-12))
+    assert at_boundary == (not definite or radius < 100.0)
+    assert tangency_error(eta, phi) < 1e-12
+    np.testing.assert_allclose(h_eta, hess(eta), atol=1e-10)
+    model = float(np.real(np.vdot(g, eta) + 0.5 * np.vdot(eta, h_eta)))
+    assert model < 0.0
 
 
 # -------------------------------------------------------------------- solver
@@ -199,27 +206,29 @@ def test_rcg_nonfinite_gradient_raises():
         )
 
 
-def test_rcg_line_search_exhaustion_stops_cleanly():
-    # constant objective with a nonzero tangent pseudo-gradient: sufficient
-    # decrease is impossible, so the search fails, restarts once, and stops
+def test_rcg_constant_objective_stops_on_trust_region():
+    # constant objective with a nonzero tangent pseudo-gradient: every step
+    # falls short of its predicted decrease, so each is rejected and the
+    # radius shrinks until no double-precision step is left
     rng = np.random.default_rng(13)
     phi0 = random_phi(4, rng)
     phi, trace = rcg_minimize(lambda p: 0.0, lambda p: 1j * p, phi0)
-    assert trace.converged_by is ConvergedBy.LINE_SEARCH
-    assert trace.iterations == 0
+    assert trace.converged_by is ConvergedBy.TRUST_REGION
+    assert 0 < trace.iterations < 500
+    np.testing.assert_array_equal(trace.objective_values, 0.0)
+    assert len(trace.objective_values) == trace.iterations + 1
     np.testing.assert_array_equal(phi, phi0)
 
 
-def test_rcg_wrong_gradient_sign_reports_line_search():
-    # f = Re(sum phi) has ambient gradient 1; passing -1 makes every search
-    # direction turn each entry toward +1, so f never decreases for steps
-    # up to 1 and the Armijo test cannot pass
+def test_rcg_wrong_gradient_sign_reports_trust_region():
+    # f = Re(sum phi) has ambient gradient 1; passing -1 makes every model
+    # step turn each entry toward +1, so f rises and every step is rejected
     rng = np.random.default_rng(14)
     phi0 = random_phi(6, rng)
     phi, trace = rcg_minimize(
         lambda p: float(np.sum(p).real), lambda p: -np.ones_like(p), phi0
     )
-    assert trace.converged_by is ConvergedBy.LINE_SEARCH
-    assert trace.iterations == 0
+    assert trace.converged_by is ConvergedBy.TRUST_REGION
     assert trace.final_grad_norm > 0.0
+    np.testing.assert_array_equal(trace.objective_values, trace.objective_values[0])
     np.testing.assert_array_equal(phi, phi0)
