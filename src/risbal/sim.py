@@ -10,8 +10,13 @@ also share its Gram totals):
              is reported as rate 0
 
 Per-drop seeds are a fixed hash-mix of (master seed, sweep index, drop
-index). Drops run in order in one process; BLAS threads
-(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only parallelism.
+index); with CRN the sweep index is left out. A sweep runs drop-major, in
+one process: each drop index runs every sweep value in turn, and values
+with the same drop seed share the drop's channels, Gram totals, RandRis
+phases and balanced designs (keyed by linear weight). So a CRN lambda sweep
+draws each drop once, and a CRN txpower sweep designs once for all powers.
+BLAS threads (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only
+parallelism.
 """
 
 from __future__ import annotations
@@ -73,18 +78,49 @@ class SweepResult:
     num_drops: int
 
 
-def run_drop(cfg: ScenarioConfig, drop_seed: int) -> dict[Scheme, tuple[float, float]]:
-    """One channel realization, all four schemes; returns (R1, R2) per scheme."""
-    chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
-    channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
+class _Drop:
+    """One drop's weight-free work, and its balanced designs by linear weight."""
+
+    def __init__(self, cfg: ScenarioConfig, drop_seed: int) -> None:
+        chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
+        self.channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
+        self.grams = effective_channels(self.channels)
+        self.phi_rand = design_random(cfg.ris_array.size, np.random.default_rng(phase_ss))
+        self.designs: dict[float, np.ndarray] = {}
+
+    def design(self, lam: float) -> np.ndarray:
+        """The balanced design at weight lam, solved on first use."""
+        if lam not in self.designs:
+            self.designs[lam] = design_balanced(balance_matrix(*self.grams, lam))[0]
+        return self.designs[lam]
+
+
+def run_drop(
+    cfg: ScenarioConfig,
+    drop_seed: int,
+    shared: dict[int, _Drop] | None = None,
+) -> dict[Scheme, tuple[float, float]]:
+    """One channel realization, all four schemes; returns (R1, R2) per scheme.
+
+    shared holds the latest draw by its seed. A sweep passes one map to all
+    its calls, so values with the same seed reuse the draw and a new seed
+    replaces it. Nothing in a draw may depend on the swept fields (transmit
+    power, weight).
+    """
+    if shared is None:
+        shared = {}
+    if drop_seed not in shared:
+        shared.clear()
+        shared[drop_seed] = _Drop(cfg, drop_seed)
+    drop = shared[drop_seed]
+    channels = drop.channels
 
     power = cfg.transmit_power_w
     noise = channels.noise_var
-    At1, At2 = effective_channels(channels)
     phis = {
-        Scheme.PROPOSED: design_balanced(balance_matrix(At1, At2, cfg.lambda_linear))[0],
-        Scheme.CONV_RIS: design_balanced(balance_matrix(At1, At2, 0.0))[0],
-        Scheme.RAND_RIS: design_random(cfg.ris_array.size, np.random.default_rng(phase_ss)),
+        Scheme.PROPOSED: drop.design(cfg.lambda_linear),
+        Scheme.CONV_RIS: drop.design(0.0),
+        Scheme.RAND_RIS: drop.phi_rand,
     }
 
     direct_rows = np.conj(channels.h_d2)
@@ -124,19 +160,32 @@ def run_sweep(
     values: list[float],
     crn: bool = False,
 ) -> list[SweepResult]:
-    """Run num_drops independent drops per sweep value and aggregate."""
+    """Run num_drops drops per sweep value and aggregate.
+
+    Drop-major: for each drop index, every value runs in turn, all through
+    one shared map (see run_drop), so with crn each drop is drawn once. Values
+    that print the same in the CSV (to 9 significant digits; -0 equals 0)
+    would write conflicting rows and raise ConfigError before any drop runs.
+    """
     if not values:
         raise ConfigError("sweep needs at least one value")
     cfgs = [_apply_sweep_value(cfg, sweep, float(value)) for value in values]
+    printed = [float(f"{float(value):.9g}") for value in values]
+    dups = sorted({v for v in printed if printed.count(v) > 1})
+    if dups:
+        raise ConfigError(f"duplicate sweep values: {', '.join(f'{v:.9g}' for v in dups)}")
+
+    drops: list[list[dict[Scheme, tuple[float, float]]]] = [[] for _ in values]
+    shared: dict[int, _Drop] = {}
+    for d in range(cfg.num_drops):
+        for si, cfg_v in enumerate(cfgs):
+            drops[si].append(run_drop(cfg_v, drop_seed_for(cfg.seed, si, d, crn), shared))
 
     results: list[SweepResult] = []
-    for si, (value, cfg_v) in enumerate(zip(values, cfgs)):
-        seeds = [drop_seed_for(cfg.seed, si, d, crn) for d in range(cfg.num_drops)]
-        drops = [run_drop(cfg_v, s) for s in seeds]
-
+    for value, value_drops in zip(values, drops):
         for scheme in Scheme:
             for cell, idx in ((Cell.CELL1, 0), (Cell.CELL2, 1)):
-                samples = np.array([d[scheme][idx] for d in drops])
+                samples = np.array([d[scheme][idx] for d in value_drops])
                 mean = float(samples.mean())
                 if samples.size > 1:
                     std_err = float(samples.std(ddof=1) / np.sqrt(samples.size))
@@ -201,8 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="risbal",
         description="Monte Carlo sum-rate sweeps for the balancing reflection design",
         epilog="The NoRis scheme reports a cell-1 sum rate of 0 (cell 1 has no "
-               "direct links). Drops run in order in one process; BLAS threads "
-               "(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only parallelism.",
+               "direct links). Drops run in order in one process, drop-major: each "
+               "drop index runs every sweep value in turn, and values that share a "
+               "drop (all of them with --crn) draw its channels and designs once. "
+               "BLAS threads (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only "
+               "parallelism.",
     )
     parser.add_argument("--config", help="scenario config file (defaults used if omitted)")
     parser.add_argument(

@@ -29,7 +29,7 @@ from risbal import (
     write_csv,
 )
 from risbal.errors import ConfigError, NumericalError
-from risbal.sim import Cell, drop_seed_for
+from risbal.sim import Cell, SweepResult, drop_seed_for
 
 
 # ----------------------------------------------------------------- run_drop
@@ -145,6 +145,86 @@ def test_sweep_crn_reuses_drops_across_values():
 def test_sweep_rejects_empty_values():
     with pytest.raises(ConfigError):
         run_sweep(small_cfg(), SweepParam.LAMBDA_DB, [])
+
+
+def _per_cell_results(cfg, sweep, values, crn):
+    """The sweep's rows rebuilt from one standalone run_drop per (value, drop)."""
+    field = "p_t_dbm" if sweep is SweepParam.TRANSMIT_POWER_DBM else "lambda_db"
+    expected = []
+    for si, value in enumerate(values):
+        cfg_v = replace(cfg, **{field: value})
+        drops = [run_drop(cfg_v, drop_seed_for(cfg.seed, si, d, crn))
+                 for d in range(cfg.num_drops)]
+        for scheme in Scheme:
+            for cell, idx in ((Cell.CELL1, 0), (Cell.CELL2, 1)):
+                samples = np.array([d[scheme][idx] for d in drops])
+                expected.append(SweepResult(
+                    scheme=scheme,
+                    sweep_value=value,
+                    cell=cell,
+                    mean_sum_rate=float(samples.mean()),
+                    std_err=float(samples.std(ddof=1) / np.sqrt(samples.size)),
+                    num_drops=cfg.num_drops,
+                ))
+    return expected
+
+
+@pytest.mark.parametrize("sweep, values, crn", [
+    (SweepParam.LAMBDA_DB, [-math.inf, 0.0, 10.0, 20.0], True),
+    (SweepParam.TRANSMIT_POWER_DBM, [20.0, 30.0, 40.0], True),
+    (SweepParam.LAMBDA_DB, [0.0, 20.0], False),
+])
+def test_drop_major_sweep_equals_per_cell_runs(sweep, values, crn):
+    # what a sweep shares between values must not depend on the swept field,
+    # so every row equals, bit for bit, the one built from standalone drops
+    cfg = small_cfg(num_drops=3)
+    assert run_sweep(cfg, sweep, values, crn=crn) == _per_cell_results(cfg, sweep, values, crn)
+
+
+@pytest.mark.parametrize("sweep, values, designs_per_drop", [
+    # ConvRis plus the distinct positive weights; -inf dB is weight 0
+    (SweepParam.LAMBDA_DB, [-math.inf, 0.0, 10.0, 20.0], 4),
+    # the balance matrix does not depend on power: ConvRis plus one Proposed
+    (SweepParam.TRANSMIT_POWER_DBM, [20.0, 30.0, 40.0], 2),
+])
+def test_crn_sweep_draws_each_drop_once(monkeypatch, sweep, values, designs_per_drop):
+    import risbal.channel
+    import risbal.ris_design
+    import risbal.sim
+
+    calls = {"gen_channel_set": 0, "effective_channels": 0, "design_balanced": 0, "run_drop": 0}
+    for name in calls:
+        original = getattr(risbal.sim, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in (risbal.channel, risbal.ris_design, risbal.sim):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    drops = 3
+    run_sweep(small_cfg(num_drops=drops), sweep, values, crn=True)
+    assert calls == {
+        "gen_channel_set": drops,
+        "effective_channels": drops,
+        "design_balanced": drops * designs_per_drop,
+        # one call per (value, drop) cell, which a tracer counts on
+        "run_drop": len(values) * drops,
+    }
+
+
+@pytest.mark.parametrize("values", [[10.0, 10.0], [20.0, 10.0, 20.0000000001], [-0.0, 0.0]])
+def test_sweep_rejects_duplicate_values(monkeypatch, values):
+    # values that print alike would write conflicting CSV rows; no drop runs
+    import risbal.sim
+
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran before the duplicate check")
+
+    monkeypatch.setattr(risbal.sim, "run_drop", no_drop)
+    with pytest.raises(ConfigError, match="duplicate sweep values"):
+        run_sweep(small_cfg(), SweepParam.LAMBDA_DB, values)
 
 
 # ------------------------------------------------------------- csv and config
@@ -392,7 +472,7 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text(CFG_TEXT)
     for sweep, values in (("txpower", "inf"), ("txpower", "1e308"), ("txpower", "nan"),
-                          ("lambda", "1e308")):
+                          ("lambda", "1e308"), ("lambda", "10,0,10")):
         out = tmp_path / "v.csv"
         code = cli_main([
             "--config", str(cfg_file), "--sweep", sweep, "--values", values,
