@@ -43,6 +43,7 @@ from .ris_design import (
     design_eigen,
     design_random,
     effective_channels,
+    gram_core,
     p1_euclid_grad,
     p1_objective,
 )

@@ -11,6 +11,15 @@ uniform random phases serve as baselines.
 Every step takes and returns plain arrays: effective_channels gives both
 Gram totals, balance_matrix forms R from them, and the designs take R, so a
 drop builds its Gram totals once and shares them between weights.
+
+The eigenvector warm start need not see R at full size. Each Gram total is
+B_i B_i^H, whose factor B_i stacks the columns diag(conj h_k) g over a basis
+g of G_i's range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far
+fewer columns than M. gram_core gives, once per drop, an orthonormal basis U of
+their joint range and both totals in it, K_i = U^H At_i U. Since U^H U = I
+and At_i = U K_i U^H, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam)
+is U^H R U, and design_eigen(that, U) finds R's top eigenvector from an r x r
+eigensolve instead of an M x M one. The solve itself still runs on dense R.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ __all__ = [
     "design_balanced",
     "design_eigen",
     "design_random",
+    "gram_core",
 ]
 
 _HERMITIAN_TOL = 1e-9
@@ -48,6 +58,48 @@ def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
         _gram_total(channels.h_r1, channels.G1),
         _gram_total(channels.h_r2, channels.G2),
     )
+
+
+def _numerical_rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Singular values s (descending) above np.linalg.matrix_rank's tolerance."""
+    return int(np.count_nonzero(s > s[0] * max(shape) * np.finfo(s.dtype).eps))
+
+
+def _gram_factor(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """B with B B^H = sum_k A_k A_k^H, from G's numerical range.
+
+    With G = W S X^H truncated at its rank q, G G^H = (W S)(W S)^H, so the
+    columns conj(h_r[k]) * (W S)[:, j] serve; q <= paths + 1 keeps B narrow.
+    """
+    W, s, _ = np.linalg.svd(G, full_matrices=False)
+    q = _numerical_rank(s, G.shape)
+    F = W[:, :q] * s[:q]
+    return (h_r.conj().T[:, :, None] * F[:, None, :]).reshape(G.shape[0], -1)
+
+
+def gram_core(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis U (M, r) of the joint range of both Gram totals, and
+    the totals in it, K_i = U^H At_i U (r, r), with At_i = U K_i U^H.
+
+    U is the leading r left singular vectors of [B_1 B_2], r its numerical
+    rank by np.linalg.matrix_rank's convention (singular values above
+    s_max * max(shape) * eps); an SVD, unlike an eigensolve of the Gram
+    matrix [B_1 B_2]^H [B_1 B_2], keeps U orthonormal to rounding down to the
+    smallest kept direction. With B = U S V^H, U^H B_i is a block of S V^H.
+    Call it only once balance_matrix has accepted the totals' norms.
+    """
+    try:
+        B1 = _gram_factor(channels.h_r1, channels.G1)
+        B = np.hstack([B1, _gram_factor(channels.h_r2, channels.G2)])
+        U, s, Vh = np.linalg.svd(B, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular value decomposition failed: {exc}") from exc
+    r = _numerical_rank(s, B.shape)
+    C = s[:r, None] * Vh[:r]
+    C1, C2 = C[:, : B1.shape[1]], C[:, B1.shape[1]:]
+    K1 = C1 @ C1.conj().T
+    K2 = C2 @ C2.conj().T
+    return U[:, :r], (K1 + K1.conj().T) / 2.0, (K2 + K2.conj().T) / 2.0
 
 
 def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
@@ -80,18 +132,30 @@ def p1_euclid_grad(phi: np.ndarray, R: np.ndarray) -> np.ndarray:
     return -2.0 * (R @ phi)
 
 
-def design_eigen(R: np.ndarray) -> np.ndarray:
-    """Relaxation baseline: normalize each entry of the top eigenvector of R.
+def design_eigen(R: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Relaxation baseline: normalize each entry of the top eigenvector of
+    basis @ R @ basis^H (of R itself when basis is None).
 
-    An exactly zero entry has no defined phase and is set to phase 0. eigh
-    reads one triangle of R only, so R must be Hermitian (design_balanced
-    checks it).
+    basis (M, r) must have orthonormal columns, as gram_core's U has; R is
+    then the r x r core. If r < M and the core has no positive eigenvalue,
+    the top eigenspace (eigenvalue 0) is null(basis^H), and the vector taken
+    is its projector's column of largest norm, whose squared norm
+    1 - ||basis[m]||^2 is at least 1 - r/M. An exactly zero entry has no
+    defined phase and is set to phase 0. eigh reads one triangle of R only,
+    so R must be Hermitian (design_balanced checks it).
     """
     try:
-        _, vecs = np.linalg.eigh(R)
+        vals, vecs = np.linalg.eigh(R)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     v = vecs[:, -1]  # algebraically largest eigenvalue
+    if basis is not None:
+        if vals[-1] > 0.0 or basis.shape[1] == basis.shape[0]:
+            v = basis @ v
+        else:
+            m = int(np.argmin(np.linalg.norm(basis, axis=1)))
+            v = -(basis @ basis[m].conj())
+            v[m] += 1.0
     v = np.where(np.abs(v) == 0.0, 1.0, v)
     return manifold.retract_point(v)
 

@@ -1,7 +1,8 @@
 """Monte Carlo harness: per-drop evaluation of all schemes, sweeps, CSV, CLI.
 
 Schemes per drop, all sharing one channel realization (the two designs
-also share its Gram totals):
+also share its Gram totals and their low-rank core, which gives each design
+its eigenvector warm start):
 
   Proposed : balancing design at the configured weight
   ConvRis  : balancing design with weight 0 (serving cell only)
@@ -37,7 +38,14 @@ from .channel import gen_channel_set
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NumericalError, RisbalError
 from .metrics import evaluate
-from .ris_design import balance_matrix, design_balanced, design_random, effective_channels
+from .ris_design import (
+    balance_matrix,
+    design_balanced,
+    design_eigen,
+    design_random,
+    effective_channels,
+    gram_core,
+)
 
 __all__ = [
     "Scheme",
@@ -85,13 +93,22 @@ class _Drop:
         chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
         self.channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
         self.grams = effective_channels(self.channels)
+        self.core: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.phi_rand = design_random(cfg.ris_array.size, np.random.default_rng(phase_ss))
         self.designs: dict[float, np.ndarray] = {}
 
     def design(self, lam: float) -> np.ndarray:
-        """The balanced design at weight lam, solved on first use."""
+        """The balanced design at weight lam, solved on first use from the
+        warm start of the drop's Gram core."""
         if lam not in self.designs:
-            self.designs[lam] = design_balanced(balance_matrix(*self.grams, lam))[0]
+            R = balance_matrix(*self.grams, lam)
+            # built after balance_matrix has accepted the totals' norms, so
+            # zero or overflowing gains end in its NormalizationError alone
+            if self.core is None:
+                self.core = gram_core(self.channels)
+            basis, K1, K2 = self.core
+            phi0 = design_eigen(balance_matrix(K1, K2, lam), basis)
+            self.designs[lam] = design_balanced(R, phi0=phi0)[0]
         return self.designs[lam]
 
 

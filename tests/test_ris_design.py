@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,6 +12,7 @@ from conftest import (
 )
 
 from risbal import (
+    ArrayGeometry,
     ConvergedBy,
     RcgConfig,
     ScenarioConfig,
@@ -19,6 +22,7 @@ from risbal import (
     design_random,
     effective_channels,
     gen_channel_set,
+    gram_core,
     p1_euclid_grad,
     p1_objective,
 )
@@ -275,6 +279,74 @@ def test_design_eigen_baseline_quality(seed):
     assert val <= 4 * lam_max + 1e-9
     grid_max = -grid_min_objective(R, levels=24)
     assert val >= grid_max - 0.35 * abs(grid_max)
+
+
+def test_design_eigen_lifts_core_through_basis():
+    # with a basis, the warm start is that of basis @ R @ basis^H, up to the
+    # eigenvector's arbitrary global phase
+    rng = np.random.default_rng(17)
+    U, _ = np.linalg.qr(_random_complex((8, 3), rng))
+    K = random_hermitian(3, rng) + 4.0 * np.eye(3)  # top eigenvalue positive
+    phi = design_eigen(K, U)
+    ref = design_eigen(U @ K @ U.conj().T)
+    assert unit_modulus_error(phi) < 1e-12
+    assert abs(np.vdot(ref, phi)) == pytest.approx(8.0, rel=1e-10)
+
+
+def test_design_eigen_core_without_positive_eigenvalue_uses_null_space():
+    # U K U^H = diag(-1, 0): the top eigenspace is null(U^H) = span(e2),
+    # whose zero first entry takes phase 0
+    U = np.array([[1.0], [0.0]], dtype=complex)
+    phi = design_eigen(np.array([[-1.0 + 0j]]), U)
+    np.testing.assert_array_equal(phi, np.array([1.0, 1.0]))
+
+
+# ----------------------------------------------------------------- Gram core
+
+@pytest.mark.parametrize(
+    "ris_array, seeds", [(ArrayGeometry(8, 16), (1, 2)), (ArrayGeometry(16, 32), (3,))]
+)
+def test_gram_core_reproduces_the_totals_and_their_top_eigenvector(ris_array, seeds):
+    for seed in seeds:
+        cs = _channels(seed=seed, ris_array=ris_array)
+        At1, At2 = effective_channels(cs)
+        U, K1, K2 = gram_core(cs)
+        M, r = U.shape
+        assert M == ris_array.size
+        assert r <= min(M, (cs.G1.shape[1] + cs.G2.shape[1]) * cs.h_r1.shape[0])
+        assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
+        for K, At in ((K1, At1), (K2, At2)):
+            n = np.linalg.norm(At)
+            assert np.linalg.norm(U @ K @ U.conj().T - At) <= 1e-12 * n
+            assert np.linalg.norm(K) == pytest.approx(n, rel=1e-12)
+        for lam in (0.0, 10.0, 100.0, 1000.0):
+            R = balance_matrix(At1, At2, lam)
+            vals, vecs = np.linalg.eigh(R)
+            core_vals, core_vecs = np.linalg.eigh(balance_matrix(K1, K2, lam))
+            assert core_vals[-1] == pytest.approx(vals[-1], rel=1e-10), (seed, lam)
+            if vals[-1] - vals[-2] > 1e-6 * np.abs(vals).max():
+                lifted = U @ core_vecs[:, -1]
+                assert abs(np.vdot(lifted, vecs[:, -1])) == pytest.approx(1.0, abs=1e-8)
+                assert abs(np.vdot(design_eigen(R), design_eigen(balance_matrix(K1, K2, lam), U))) \
+                    == pytest.approx(M, rel=1e-6), (seed, lam)
+
+
+def test_gram_core_degenerate_when_cells_see_the_same_gains():
+    # identical cell channels: At1 = At2, so R = (1 - lam) At1 / ||At1|| <= 0
+    # for lam > 1 and the core has no positive eigenvalue
+    cs = _channels(seed=5)
+    cs = replace(cs, G2=cs.G1, h_r2=cs.h_r1)
+    U, K1, K2 = gram_core(cs)
+    assert U.shape[1] < U.shape[0]
+    lam = 10.0
+    core = balance_matrix(K1, K2, lam)
+    assert np.linalg.eigvalsh(core)[-1] <= 0.0
+    phi0 = design_eigen(core, U)
+    assert np.all(np.isfinite(phi0))
+    assert unit_modulus_error(phi0) < 1e-12
+    phi, trace = design_balanced(balance_matrix(*effective_channels(cs), lam), phi0=phi0)
+    assert np.all(np.isfinite(phi))
+    assert trace.objective_values[-1] <= trace.objective_values[0]
 
 
 def test_design_random_deterministic_and_feasible():

@@ -61,6 +61,23 @@ def test_run_drop_builds_gram_totals_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
+    # the warm starts come from the drop's Gram core: every eigensolve is
+    # core-sized, none M x M
+    cfg = ScenarioConfig(ris_array=ArrayGeometry(16, 32))
+    sizes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    run_drop(cfg, 5)
+    assert len(sizes) == 2  # one warm start per design: Proposed and ConvRis
+    assert cfg.ris_array.size not in sizes
+
+
 def test_run_drop_no_ris_uses_direct_rows_only():
     cfg = small_cfg()
     res = run_drop(cfg, 5)
