@@ -294,11 +294,11 @@ def test_design_eigen_lifts_core_through_basis():
 
 
 def test_design_eigen_core_without_positive_eigenvalue_uses_null_space():
-    # U K U^H = diag(-1, 0): the top eigenspace is null(U^H) = span(e2),
-    # whose zero first entry takes phase 0
-    U = np.array([[1.0], [0.0]], dtype=complex)
+    # U K U^H = -u u^H with u = (1, 1)/sqrt(2): the top eigenspace is
+    # null(U^H) = span((1, -1)), not the lifted core vector u
+    U = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
     phi = design_eigen(np.array([[-1.0 + 0j]]), U)
-    np.testing.assert_array_equal(phi, np.array([1.0, 1.0]))
+    np.testing.assert_allclose(phi, np.array([1.0, -1.0]), atol=1e-15)
 
 
 # ----------------------------------------------------------------- Gram core

@@ -28,7 +28,7 @@ from risbal import (
     slnr_beamformer,
     write_csv,
 )
-from risbal.errors import ConfigError, NumericalError
+from risbal.errors import ConfigError, NormalizationError, NumericalError
 from risbal.sim import Cell, SweepResult, drop_seed_for
 
 
@@ -76,6 +76,22 @@ def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
     run_drop(cfg, 5)
     assert len(sizes) == 2  # one warm start per design: Proposed and ConvRis
     assert cfg.ris_array.size not in sizes
+
+
+def test_run_drop_checks_gain_norms_before_building_the_core(monkeypatch):
+    # zero gains must end in balance_matrix's NormalizationError (exit 3),
+    # before the core factors an all-zero channel
+    import risbal.sim
+
+    original = risbal.sim.gen_channel_set
+
+    def silent(cfg, rng):
+        cs = original(cfg, rng)
+        return replace(cs, G1=np.zeros_like(cs.G1), G2=np.zeros_like(cs.G2))
+
+    monkeypatch.setattr(risbal.sim, "gen_channel_set", silent)
+    with pytest.raises(NormalizationError):
+        run_drop(small_cfg(), 1)
 
 
 def test_run_drop_no_ris_uses_direct_rows_only():
