@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -93,19 +94,21 @@ class _Drop:
         chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
         self.channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
         self.grams = effective_channels(self.channels)
-        self.core: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.phi_rand = design_random(cfg.ris_array.size, np.random.default_rng(phase_ss))
         self.designs: dict[float, np.ndarray] = {}
+
+    @functools.cached_property
+    def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Gram totals' low-rank core (gram_core), built on first use."""
+        return gram_core(self.channels)
 
     def design(self, lam: float) -> np.ndarray:
         """The balanced design at weight lam, solved on first use from the
         warm start of the drop's Gram core."""
         if lam not in self.designs:
             R = balance_matrix(*self.grams, lam)
-            # built after balance_matrix has accepted the totals' norms, so
-            # zero or overflowing gains end in its NormalizationError alone
-            if self.core is None:
-                self.core = gram_core(self.channels)
+            # the core is built after balance_matrix has accepted the totals'
+            # norms, so zero or overflowing gains end in its error alone
             basis, K1, K2 = self.core
             phi0 = design_eigen(balance_matrix(K1, K2, lam), basis)
             self.designs[lam] = design_balanced(R, phi0=phi0)[0]
