@@ -43,7 +43,6 @@ from .ris_design import (
     design_eigen,
     design_random,
     effective_channels,
-    gram_core,
     p1_euclid_grad,
     p1_objective,
 )

@@ -8,18 +8,16 @@ balance matrix R. The design maximizes phi^H R phi over unit-modulus phi
 with the Riemannian trust-region solver; an eigenvector-rounding shortcut and
 uniform random phases serve as baselines.
 
-Every step takes and returns plain arrays: effective_channels gives both
-Gram totals, balance_matrix forms R from them, and the designs take R, so a
-drop builds its Gram totals once and shares them between weights.
-
-The eigenvector warm start need not see R at full size. Each Gram total is
-B_i B_i^H, whose factor B_i stacks the columns diag(conj h_k) g over a basis
-g of G_i's range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far
-fewer columns than M. gram_core gives, once per drop, an orthonormal basis U of
-their joint range and both totals in it, K_i = U^H At_i U. Since U^H U = I
-and At_i = U K_i U^H, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam)
-is U^H R U, and design_eigen(that, U) finds R's top eigenvector from an r x r
-eigensolve instead of an M x M one. The solve itself still runs on dense R.
+Every step takes and returns plain arrays. Each Gram total is B_i B_i^H,
+whose factor B_i stacks the columns diag(conj h_k) g over a basis g of G_i's
+range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far fewer columns
+than M. effective_channels gives, once per drop, an orthonormal basis U of
+their joint range and both totals in it, K_i = U^H At_i U, with
+At_i = U K_i U^H; this core is the only form in which the totals are built.
+Since U^H U = I, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam) is
+U^H R U: R itself is U (U^H R U) U^H, and design_eigen(U^H R U, U) finds R's
+top eigenvector from an r x r eigensolve instead of an M x M one. The designs
+take R, so a drop builds its core once and shares it between weights.
 """
 
 from __future__ import annotations
@@ -39,30 +37,15 @@ __all__ = [
     "design_balanced",
     "design_eigen",
     "design_random",
-    "gram_core",
 ]
 
 _HERMITIAN_TOL = 1e-9
 
 
-def _gram_total(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """sum_k A_k A_k^H as the Schur product (G G^H) o (H^H H), rows of H = h_k,
-    symmetrized to be exactly Hermitian (balance_matrix keeps it so)."""
-    total = (G @ G.conj().T) * (h_r.conj().T @ h_r)
-    return (total + total.conj().T) / 2.0
-
-
-def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
-    """Both Gram totals (Atilde1, Atilde2), Atilde_i = sum_k A_ik A_ik^H, from one draw."""
-    return (
-        _gram_total(channels.h_r1, channels.G1),
-        _gram_total(channels.h_r2, channels.G2),
-    )
-
-
 def _numerical_rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
-    """Singular values s (descending) above np.linalg.matrix_rank's tolerance."""
-    return int(np.count_nonzero(s > s[0] * max(shape) * np.finfo(s.dtype).eps))
+    """Singular values s (descending) above np.linalg.matrix_rank's tolerance;
+    0 for an empty s. The tolerance is scaled last, so it cannot overflow."""
+    return int(np.count_nonzero(s > np.finfo(s.dtype).eps * max(shape) * s.max(initial=0.0)))
 
 
 def _gram_factor(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -77,29 +60,33 @@ def _gram_factor(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (h_r.conj().T[:, :, None] * F[:, None, :]).reshape(G.shape[0], -1)
 
 
-def gram_core(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis U (M, r) of the joint range of both Gram totals, and
-    the totals in it, K_i = U^H At_i U (r, r), with At_i = U K_i U^H.
+def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both Gram totals At_i = sum_k A_ik A_ik^H of one draw, in their core:
+    an orthonormal basis U (M, r) of the totals' joint range and
+    K_i = U^H At_i U (r, r), exactly Hermitian, with At_i = U K_i U^H.
 
     U is the leading r left singular vectors of [B_1 B_2], r its numerical
     rank by np.linalg.matrix_rank's convention (singular values above
     s_max * max(shape) * eps); an SVD, unlike an eigensolve of the Gram
     matrix [B_1 B_2]^H [B_1 B_2], keeps U orthonormal to rounding down to the
     smallest kept direction. With B = U S V^H, U^H B_i is a block of S V^H.
-    Call it only once balance_matrix has accepted the totals' norms.
+    Gains the numbers cannot carry come out as norms balance_matrix rejects:
+    an all-zero G_i adds no columns, so K_i = 0 (r = 0 when both are), and
+    products that overflow give inf or nan entries, without a warning.
     """
-    try:
-        B1 = _gram_factor(channels.h_r1, channels.G1)
-        B = np.hstack([B1, _gram_factor(channels.h_r2, channels.G2)])
-        U, s, Vh = np.linalg.svd(B, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular value decomposition failed: {exc}") from exc
-    r = _numerical_rank(s, B.shape)
-    C = s[:r, None] * Vh[:r]
-    C1, C2 = C[:, : B1.shape[1]], C[:, B1.shape[1]:]
-    K1 = C1 @ C1.conj().T
-    K2 = C2 @ C2.conj().T
-    return U[:, :r], (K1 + K1.conj().T) / 2.0, (K2 + K2.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            B1 = _gram_factor(channels.h_r1, channels.G1)
+            B = np.hstack([B1, _gram_factor(channels.h_r2, channels.G2)])
+            U, s, Vh = np.linalg.svd(B, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular value decomposition failed: {exc}") from exc
+        r = _numerical_rank(s, B.shape)
+        C = s[:r, None] * Vh[:r]
+        C1, C2 = C[:, : B1.shape[1]], C[:, B1.shape[1]:]
+        K1 = C1 @ C1.conj().T
+        K2 = C2 @ C2.conj().T
+        return U[:, :r], (K1 + K1.conj().T) / 2.0, (K2 + K2.conj().T) / 2.0
 
 
 def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
@@ -136,7 +123,7 @@ def design_eigen(R: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     """Relaxation baseline: normalize each entry of the top eigenvector of
     basis @ R @ basis^H (of R itself when basis is None).
 
-    basis (M, r) must have orthonormal columns, as gram_core's U has; R is
+    basis (M, r) must have orthonormal columns, as effective_channels' U has; R is
     then the r x r core. If r < M and the core has no positive eigenvalue,
     the top eigenspace (eigenvalue 0) is null(basis^H), and the vector taken
     is its projector's column of largest norm, whose squared norm

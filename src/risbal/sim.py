@@ -1,8 +1,8 @@
 """Monte Carlo harness: per-drop evaluation of all schemes, sweeps, CSV, CLI.
 
 Schemes per drop, all sharing one channel realization (the two designs
-also share its Gram totals and their low-rank core, which gives each design
-its eigenvector warm start):
+also share its Gram totals, built once in their low-rank core, from which
+each design forms its balance matrix and eigenvector warm start):
 
   Proposed : balancing design at the configured weight
   ConvRis  : balancing design with weight 0 (serving cell only)
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import math
 import os
 import sys
@@ -45,7 +44,6 @@ from .ris_design import (
     design_eigen,
     design_random,
     effective_channels,
-    gram_core,
 )
 
 __all__ = [
@@ -93,24 +91,17 @@ class _Drop:
     def __init__(self, cfg: ScenarioConfig, drop_seed: int) -> None:
         chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
         self.channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
-        self.grams = effective_channels(self.channels)
+        self.basis, self.K1, self.K2 = effective_channels(self.channels)
         self.phi_rand = design_random(cfg.ris_array.size, np.random.default_rng(phase_ss))
         self.designs: dict[float, np.ndarray] = {}
-
-    @functools.cached_property
-    def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Gram totals' low-rank core (gram_core), built on first use."""
-        return gram_core(self.channels)
 
     def design(self, lam: float) -> np.ndarray:
         """The balanced design at weight lam, solved on first use from the
         warm start of the drop's Gram core."""
         if lam not in self.designs:
-            R = balance_matrix(*self.grams, lam)
-            # the core is built after balance_matrix has accepted the totals'
-            # norms, so zero or overflowing gains end in its error alone
-            basis, K1, K2 = self.core
-            phi0 = design_eigen(balance_matrix(K1, K2, lam), basis)
+            core = balance_matrix(self.K1, self.K2, lam)
+            R = self.basis @ core @ self.basis.conj().T
+            phi0 = design_eigen(core, self.basis)
             self.designs[lam] = design_balanced(R, phi0=phi0)[0]
         return self.designs[lam]
 

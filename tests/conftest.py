@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from risbal import ArrayGeometry, ScenarioConfig
+from risbal import ArrayGeometry, ScenarioConfig, effective_channels
 
 
 def random_hermitian(M, rng, scale=1.0):
@@ -31,9 +31,15 @@ def cascade(h_r, G):
 
 def total_gain_matrix(As):
     """Reference Gram total sum_k A_k A_k^H, summed term by term and
-    symmetrized; effective_channels forms it as a Schur product instead."""
+    symmetrized; effective_channels forms it only in its low-rank core."""
     total = sum(A @ A.conj().T for A in As)
     return (total + total.conj().T) / 2.0
+
+
+def dense_totals(channels):
+    """Both Gram totals at full size, U K_i U^H, from effective_channels' core."""
+    U, K1, K2 = effective_channels(channels)
+    return U @ K1 @ U.conj().T, U @ K2 @ U.conj().T
 
 
 def grid_min_objective(R, levels=24):

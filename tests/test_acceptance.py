@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 from conftest import (
     cascade,
+    dense_totals,
     grid_min_objective,
     quadform,
     random_hermitian,
@@ -25,7 +26,6 @@ from risbal import (
     SweepParam,
     balance_matrix,
     design_balanced,
-    effective_channels,
     gen_channel_set,
     p1_euclid_grad,
     p1_objective,
@@ -43,7 +43,7 @@ def _pipeline_balance(seed, lam=100.0, cfg=None):
     """Balance matrix from one channel draw at the reference operating point."""
     cfg = cfg if cfg is not None else ScenarioConfig()
     cs = gen_channel_set(cfg, np.random.default_rng(seed))
-    return balance_matrix(*effective_channels(cs), lam)
+    return balance_matrix(*dense_totals(cs), lam)
 
 
 def _se(samples):
@@ -118,7 +118,7 @@ def test_theta_invariance_of_uncontrolled_gain():
     for s in range(50):
         cs = gen_channel_set(cfg, np.random.default_rng(3000 + s))
         A2 = [cascade(h, cs.G2) for h in cs.h_r2]
-        _, At2 = effective_channels(cs)
+        _, At2 = dense_totals(cs)
         ref = total_gain_matrix(A2)
         assert np.linalg.norm(At2 - ref) <= 1e-12 * np.linalg.norm(ref)
         phi = random_phi(cs.G2.shape[0], rng)

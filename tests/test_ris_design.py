@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     cascade,
+    dense_totals,
     grid_min_objective,
     quadform,
     random_hermitian,
@@ -22,7 +23,6 @@ from risbal import (
     design_random,
     effective_channels,
     gen_channel_set,
-    gram_core,
     p1_euclid_grad,
     p1_objective,
 )
@@ -110,8 +110,10 @@ def test_balance_matrix_definition_at_20db():
     expected = At1 / np.linalg.norm(At1) - 100.0 * At2 / np.linalg.norm(At2)
     assert np.linalg.norm(R - expected) < 1e-12
     np.testing.assert_allclose(R, R.conj().T, atol=1e-10)
-    # Gram totals from a channel draw are exactly Hermitian, and so is R
-    R = _balance(_channels(seed=7), 100.0)
+    # the core's totals from a channel draw are exactly Hermitian, and so
+    # is R in the core
+    _, K1, K2 = effective_channels(_channels(seed=7))
+    R = balance_matrix(K1, K2, 100.0)
     assert np.array_equal(R, R.conj().T)
 
 
@@ -196,7 +198,7 @@ def _channels(seed=0, **overrides):
 
 
 def _balance(cs, lam):
-    return balance_matrix(*effective_channels(cs), lam)
+    return balance_matrix(*dense_totals(cs), lam)
 
 
 def test_design_balanced_zero_weight_reproducible():
@@ -307,20 +309,26 @@ def test_design_eigen_core_without_positive_eigenvalue_uses_null_space():
     "ris_array, seeds", [(ArrayGeometry(8, 16), (1, 2)), (ArrayGeometry(16, 32), (3,))]
 )
 def test_gram_core_reproduces_the_totals_and_their_top_eigenvector(ris_array, seeds):
+    # effective_channels' core against the cascade reference, term by term
     for seed in seeds:
         cs = _channels(seed=seed, ris_array=ris_array)
-        At1, At2 = effective_channels(cs)
-        U, K1, K2 = gram_core(cs)
+        U, K1, K2 = effective_channels(cs)
+        refs = [
+            total_gain_matrix([cascade(h, G) for h in h_r])
+            for h_r, G in ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))
+        ]
         M, r = U.shape
         assert M == ris_array.size
         assert r <= min(M, (cs.G1.shape[1] + cs.G2.shape[1]) * cs.h_r1.shape[0])
         assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
-        for K, At in ((K1, At1), (K2, At2)):
-            n = np.linalg.norm(At)
-            assert np.linalg.norm(U @ K @ U.conj().T - At) <= 1e-12 * n
+        for K, ref in zip((K1, K2), refs):
+            n = np.linalg.norm(ref)
+            assert np.array_equal(K, K.conj().T)
+            assert np.linalg.eigvalsh(K).min() >= -1e-10 * n
+            assert np.linalg.norm(U @ K @ U.conj().T - ref) <= 1e-12 * n
             assert np.linalg.norm(K) == pytest.approx(n, rel=1e-12)
         for lam in (0.0, 10.0, 100.0, 1000.0):
-            R = balance_matrix(At1, At2, lam)
+            R = balance_matrix(*refs, lam)
             vals, vecs = np.linalg.eigh(R)
             core_vals, core_vecs = np.linalg.eigh(balance_matrix(K1, K2, lam))
             assert core_vals[-1] == pytest.approx(vals[-1], rel=1e-10), (seed, lam)
@@ -331,12 +339,22 @@ def test_gram_core_reproduces_the_totals_and_their_top_eigenvector(ris_array, se
                     == pytest.approx(M, rel=1e-6), (seed, lam)
 
 
+def test_numerical_rank_near_overflow_and_empty():
+    # singular values near the float maximum keep their rank (a tolerance
+    # scaled by the largest value first would overflow to inf and drop them
+    # all, hiding overflowing gains as an empty core); no values, rank 0
+    from risbal.ris_design import _numerical_rank
+
+    assert _numerical_rank(np.array([2.7e306, 1.5e306, 0.0]), (128, 72)) == 2
+    assert _numerical_rank(np.array([]), (128, 0)) == 0
+
+
 def test_gram_core_degenerate_when_cells_see_the_same_gains():
     # identical cell channels: At1 = At2, so R = (1 - lam) At1 / ||At1|| <= 0
     # for lam > 1 and the core has no positive eigenvalue
     cs = _channels(seed=5)
     cs = replace(cs, G2=cs.G1, h_r2=cs.h_r1)
-    U, K1, K2 = gram_core(cs)
+    U, K1, K2 = effective_channels(cs)
     assert U.shape[1] < U.shape[0]
     lam = 10.0
     core = balance_matrix(K1, K2, lam)
@@ -344,7 +362,7 @@ def test_gram_core_degenerate_when_cells_see_the_same_gains():
     phi0 = design_eigen(core, U)
     assert np.all(np.isfinite(phi0))
     assert unit_modulus_error(phi0) < 1e-12
-    phi, trace = design_balanced(balance_matrix(*effective_channels(cs), lam), phi0=phi0)
+    phi, trace = design_balanced(balance_matrix(*dense_totals(cs), lam), phi0=phi0)
     assert np.all(np.isfinite(phi))
     assert trace.objective_values[-1] <= trace.objective_values[0]
 
@@ -377,19 +395,6 @@ def test_uncontrolled_gain_ignores_phase_offset():
         assert quadform(phi, rotated) == pytest.approx(g0, rel=1e-10)
 
 
-def test_effective_channels_shapes_and_psd():
-    cs = _channels(seed=3)
-    At1, At2 = effective_channels(cs)
-    M = cs.h_r1.shape[1]
-    assert At1.shape == At2.shape == (M, M)
-    for At, h_r, G in ((At1, cs.h_r1, cs.G1), (At2, cs.h_r2, cs.G2)):
-        np.testing.assert_allclose(At, At.conj().T, atol=1e-10)
-        assert np.linalg.eigvalsh(At).min() >= -1e-10 * np.linalg.norm(At)
-        # the Schur-product form matches the sum of cascade Grams
-        ref = total_gain_matrix([cascade(h, G) for h in h_r])
-        assert np.linalg.norm(At - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
 def test_objective_global_phase_invariance():
     R = _balance(_channels(seed=4), 10.0)
     rng = np.random.default_rng(16)
@@ -407,7 +412,7 @@ def test_tradeoff_monotone_in_weight():
     n = 40
     for s in range(n):
         cs = gen_channel_set(cfg, np.random.default_rng(5000 + s))
-        At1, At2 = effective_channels(cs)
+        At1, At2 = dense_totals(cs)
         At2n = At2 / np.linalg.norm(At2)
         gains = []
         for lam in (0.0, 1.0, 10.0, 100.0):

@@ -78,16 +78,17 @@ def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
     assert cfg.ris_array.size not in sizes
 
 
-def test_run_drop_checks_gain_norms_before_building_the_core(monkeypatch):
-    # zero gains must end in balance_matrix's NormalizationError (exit 3),
-    # before the core factors an all-zero channel
+@pytest.mark.parametrize("zeroed", [("G1",), ("G1", "G2")], ids=["G1", "G1-G2"])
+def test_run_drop_zero_gains_raise_normalization_error(monkeypatch, zeroed):
+    # an all-zero channel adds nothing to the Gram core (r = 0 when both
+    # are zero), so it ends in balance_matrix's NormalizationError (exit 3)
     import risbal.sim
 
     original = risbal.sim.gen_channel_set
 
     def silent(cfg, rng):
         cs = original(cfg, rng)
-        return replace(cs, G1=np.zeros_like(cs.G1), G2=np.zeros_like(cs.G2))
+        return replace(cs, **{name: np.zeros_like(getattr(cs, name)) for name in zeroed})
 
     monkeypatch.setattr(risbal.sim, "gen_channel_set", silent)
     with pytest.raises(NormalizationError):
@@ -443,11 +444,12 @@ def test_python_m_risbal_runs_without_warnings(tmp_path):
     assert out.read_text().startswith("scheme,cell,")
 
 
-def test_cli_overflowing_gain_norm_prints_one_line(tmp_path):
+@pytest.mark.parametrize("pathloss_ref_db", [1000, 2000, 3000])
+def test_cli_overflowing_gain_norm_prints_one_line(tmp_path, pathloss_ref_db):
     # the norm overflow is reported by the exit-3 message alone, without a
     # numpy warning ahead of it
     cfg_file = tmp_path / "scenario.cfg"
-    cfg_file.write_text(CFG_TEXT + "pathloss_ref_db = 1000\n")
+    cfg_file.write_text(CFG_TEXT + f"pathloss_ref_db = {pathloss_ref_db}\n")
     out = tmp_path / "x.csv"
     proc = _run_python(
         "-m", "risbal", "--config", str(cfg_file), "--sweep", "lambda",
