@@ -14,10 +14,10 @@ range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far fewer columns
 than M. effective_channels gives, once per drop, an orthonormal basis U of
 their joint range and both totals in it, K_i = U^H At_i U, with
 At_i = U K_i U^H; this core is the only form in which the totals are built.
-Since U^H U = I, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam) is
-U^H R U: R itself is U (U^H R U) U^H, and design_eigen(U^H R U, U) finds R's
-top eigenvector from an r x r eigensolve instead of an M x M one. The designs
-take R, so a drop builds its core once and shares it between weights.
+Since U^H U = I, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam) is the
+core U^H R U of R = U (U^H R U) U^H. Passed with basis=U, the designs take that
+r x r core and never form R: the warm start is an r x r eigensolve, and each
+solver matvec R phi = U (core (U^H phi)) costs O(M r) instead of O(M^2).
 """
 
 from __future__ import annotations
@@ -104,19 +104,21 @@ def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
     return At1 / n1 - lam * (At2 / n2)
 
 
-def p1_objective(phi: np.ndarray, R: np.ndarray) -> float:
-    """-Re(phi^H R phi); R is assumed Hermitian, which design_balanced checks."""
-    return -float(np.vdot(phi, R @ phi).real)
+def p1_objective(phi: np.ndarray, R: np.ndarray, basis: np.ndarray | None = None) -> float:
+    """-Re(phi^H R phi); with basis U, that of U R U^H for the r x r core R, as
+    -Re(z^H R z) with z = U^H phi. design_balanced checks that R is Hermitian."""
+    z = phi if basis is None else (phi.conj() @ basis).conj()  # U^H phi, U not copied
+    return -float(np.vdot(z, R @ z).real)
 
 
-def p1_euclid_grad(phi: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Ambient gradient -2 R phi of p1_objective.
+def p1_euclid_grad(phi: np.ndarray, R: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Ambient gradient -2 R phi of p1_objective; -2 U (R (U^H phi)) with basis U.
 
     Re<grad, t> is the objective's directional derivative along t; the
     gradient is affine in phi, so the solver's difference-quotient Hessian
     products are exact.
     """
-    return -2.0 * (R @ phi)
+    return -2.0 * (R @ phi if basis is None else basis @ (R @ (phi.conj() @ basis).conj()))
 
 
 def design_eigen(R: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
@@ -158,21 +160,24 @@ def design_balanced(
     R: np.ndarray,
     cfg: RcgConfig | None = None,
     phi0: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
 ) -> tuple[np.ndarray, RcgTrace]:
-    """Maximize phi^H R phi over unit-modulus phi with the trust-region solver.
+    """Maximize phi^H R phi over unit-modulus phi with the trust-region solver;
+    with basis U, phi^H U R U^H phi for the r x r core R.
 
-    R must be Hermitian: ||R - R^H||_F <= _HERMITIAN_TOL * ||R||_F, checked
-    here once per design, or HermitianViolationError is raised. phi0 defaults
-    to the eigenvector-rounded warm start, which the solver can only improve;
-    if the eigensolve fails, NumericalError is raised.
+    R must be Hermitian, ||R - R^H||_F <= _HERMITIAN_TOL * ||R||_F, or
+    HermitianViolationError is raised; for a core this is the dense check, as
+    ||U X U^H||_F = ||X||_F for orthonormal U. phi0 defaults to
+    design_eigen(R, basis), which the solver can only improve; NumericalError
+    is raised if that eigensolve fails.
     """
     if np.linalg.norm(R - R.conj().T) > _HERMITIAN_TOL * np.linalg.norm(R):
         raise HermitianViolationError("balance matrix R is not Hermitian")
     if phi0 is None:
-        phi0 = design_eigen(R)
+        phi0 = design_eigen(R, basis)
     return manifold.rcg_minimize(
-        lambda p: p1_objective(p, R),
-        lambda p: p1_euclid_grad(p, R),
+        lambda p: p1_objective(p, R, basis),
+        lambda p: p1_euclid_grad(p, R, basis),
         phi0,
         cfg,
     )

@@ -1,8 +1,8 @@
 """Monte Carlo harness: per-drop evaluation of all schemes, sweeps, CSV, CLI.
 
 Schemes per drop, all sharing one channel realization (the two designs
-also share its Gram totals, built once in their low-rank core, from which
-each design forms its balance matrix and eigenvector warm start):
+also share its Gram totals, built once in their low-rank core, in which
+each design forms its balance matrix, warm start and solver matvecs):
 
   Proposed : balancing design at the configured weight
   ConvRis  : balancing design with weight 0 (serving cell only)
@@ -38,13 +38,7 @@ from .channel import gen_channel_set
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NumericalError, RisbalError
 from .metrics import evaluate
-from .ris_design import (
-    balance_matrix,
-    design_balanced,
-    design_eigen,
-    design_random,
-    effective_channels,
-)
+from .ris_design import balance_matrix, design_balanced, design_random, effective_channels
 
 __all__ = [
     "Scheme",
@@ -96,13 +90,10 @@ class _Drop:
         self.designs: dict[float, np.ndarray] = {}
 
     def design(self, lam: float) -> np.ndarray:
-        """The balanced design at weight lam, solved on first use from the
-        warm start of the drop's Gram core."""
+        """The balanced design at weight lam, solved in the drop's Gram core on first use."""
         if lam not in self.designs:
             core = balance_matrix(self.K1, self.K2, lam)
-            R = self.basis @ core @ self.basis.conj().T
-            phi0 = design_eigen(core, self.basis)
-            self.designs[lam] = design_balanced(R, phi0=phi0)[0]
+            self.designs[lam] = design_balanced(core, basis=self.basis)[0]
         return self.designs[lam]
 
 

@@ -226,6 +226,31 @@ class _CallBudgetSpent(Exception):
     pass
 
 
+def _seconds_per_grad_call(R, phi0, basis=None, budget=200):
+    """Best of 5 solves cut after budget gradient calls: seconds per call."""
+    cfg = RcgConfig(max_iters=500, grad_tol=0.0)
+    best = np.inf
+    for _ in range(5):
+        calls = 0
+
+        def grad(p):
+            nonlocal calls
+            if calls == budget:
+                raise _CallBudgetSpent
+            calls += 1
+            return p1_euclid_grad(p, R, basis)
+
+        t0 = time.perf_counter()
+        try:
+            rcg_minimize(lambda p: p1_objective(p, R, basis), grad, phi0, cfg)
+        except _CallBudgetSpent:
+            pass
+        elapsed = time.perf_counter() - t0
+        assert calls == budget
+        best = min(best, elapsed / calls)
+    return best
+
+
 def test_complexity_quadratic_in_surface_size():
     # the trust-region solve spends 1 to M gradient calls (one matvec each)
     # per outer iteration, so the work unit timed here is the gradient call:
@@ -233,38 +258,39 @@ def test_complexity_quadratic_in_surface_size():
     # must grow no faster than M^2
     sizes = [64, 128, 256, 512]
     budget = 200
-    cfg = RcgConfig(max_iters=500, grad_tol=0.0)
     per_call = []
     for M in sizes:
         rng = np.random.default_rng(M)
         R = random_hermitian(M, rng)
         phi0 = random_phi(M, rng)
-        best = np.inf
-        for _ in range(5):
-            calls = 0
-
-            def grad(p):
-                nonlocal calls
-                if calls == budget:
-                    raise _CallBudgetSpent
-                calls += 1
-                return p1_euclid_grad(p, R)
-
-            t0 = time.perf_counter()
-            try:
-                rcg_minimize(lambda p: p1_objective(p, R), grad, phi0, cfg)
-            except _CallBudgetSpent:
-                pass
-            elapsed = time.perf_counter() - t0
-            assert calls == budget
-            best = min(best, elapsed / calls)
-        per_call.append(best)
+        per_call.append(_seconds_per_grad_call(R, phi0, budget=budget))
     slope = np.polyfit(np.log2(sizes), np.log2(per_call), 1)[0]
     assert slope <= 2.3
     print(
         f"PASS complexity: solve time per gradient call over {budget} calls "
         + ", ".join(f"M={m}: {t*1e6:.1f}us" for m, t in zip(sizes, per_call))
         + f"; log-log slope {slope:.2f} <= 2.3"
+    )
+
+
+def test_complexity_linear_in_surface_size_in_factor_form():
+    # with a basis U (M, r) and an r x r core, a gradient call is
+    # U (core (U^H phi)), O(M r): from M = 512 to 2048 its time must grow
+    # less than 8x, between linear (4x) and quadratic (16x, a dense matvec)
+    r = 72
+    rng = np.random.default_rng(r)
+    core = random_hermitian(r, rng)
+    sizes = [512, 2048]
+    per_call = []
+    for M in sizes:
+        U, _ = np.linalg.qr(rng.standard_normal((M, r)) + 1j * rng.standard_normal((M, r)))
+        per_call.append(_seconds_per_grad_call(core, random_phi(M, rng), basis=U))
+    growth = per_call[1] / per_call[0]
+    assert growth <= 8.0
+    print(
+        f"PASS factor-form complexity: solve time per gradient call, r={r}, "
+        + ", ".join(f"M={m}: {t*1e6:.1f}us" for m, t in zip(sizes, per_call))
+        + f"; growth {growth:.1f}x <= 8x"
     )
 
 

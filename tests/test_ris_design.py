@@ -159,6 +159,13 @@ def test_design_balanced_rejects_non_hermitian():
     A = _random_complex((3, 2), rng)
     phi, _ = design_balanced(A @ A.conj().T)
     assert unit_modulus_error(phi) < 1e-12
+    # with a basis the check runs on the core it is given, and equals the
+    # dense check on U X U^H: the Frobenius norms are the same
+    U, _ = np.linalg.qr(_random_complex((8, 3), rng))
+    assert np.linalg.norm(U @ (X - X.conj().T) @ U.conj().T) == pytest.approx(
+        np.linalg.norm(X - X.conj().T), rel=1e-12)
+    with pytest.raises(HermitianViolationError):
+        design_balanced(X, basis=U)
 
 
 def test_gradient_zero_and_identity():
@@ -176,18 +183,22 @@ def test_gradient_zero_and_identity():
 def test_gradient_finite_difference_scale_convention():
     # the projected ambient gradient is the Riemannian gradient: its inner
     # product with a unit tangent t equals the directional derivative
+    # (of the form with U R U^H too, for a basis U and an r x r core R)
     rng = np.random.default_rng(12)
     R = random_hermitian(6, rng)
     phi = random_phi(6, rng)
-    g_proj = project_to_tangent(p1_euclid_grad(phi, R), phi)
-    h = 1e-5
-    for _ in range(10):
-        z = _random_complex(6, rng)
-        t = project_to_tangent(z, phi)
-        t /= np.linalg.norm(t)
-        fd = (p1_objective(phi + h * t, R) - p1_objective(phi - h * t, R)) / (2 * h)
-        exact = float(np.real(np.vdot(g_proj, t)))
-        assert abs(fd - exact) < 1e-6 * max(abs(exact), 1e-12)
+    U, _ = np.linalg.qr(_random_complex((6, 3), rng))
+    for core, basis in ((R, None), (random_hermitian(3, rng), U)):
+        g_proj = project_to_tangent(p1_euclid_grad(phi, core, basis), phi)
+        h = 1e-5
+        for _ in range(10):
+            z = _random_complex(6, rng)
+            t = project_to_tangent(z, phi)
+            t /= np.linalg.norm(t)
+            fd = (p1_objective(phi + h * t, core, basis)
+                  - p1_objective(phi - h * t, core, basis)) / (2 * h)
+            exact = float(np.real(np.vdot(g_proj, t)))
+            assert abs(fd - exact) < 1e-6 * max(abs(exact), 1e-12)
 
 
 # ------------------------------------------------------------------- designs
@@ -337,6 +348,38 @@ def test_gram_core_reproduces_the_totals_and_their_top_eigenvector(ris_array, se
                 assert abs(np.vdot(lifted, vecs[:, -1])) == pytest.approx(1.0, abs=1e-8)
                 assert abs(np.vdot(design_eigen(R), design_eigen(balance_matrix(K1, K2, lam), U))) \
                     == pytest.approx(M, rel=1e-6), (seed, lam)
+
+
+@pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)])
+def test_factor_form_matches_dense_on_drops(ris_array):
+    # objective and gradient on (core, U) against the same on U core U^H, at
+    # arbitrary phases and at the warm start, for both weights a drop solves
+    rng = np.random.default_rng(19)
+    for seed in (1, 2):
+        U, K1, K2 = effective_channels(_channels(seed=seed, ris_array=ris_array))
+        for lam in (0.0, 100.0):
+            core = balance_matrix(K1, K2, lam)
+            R = U @ core @ U.conj().T
+            for phi in (random_phi(U.shape[0], rng), design_eigen(core, U)):
+                f = p1_objective(phi, R)
+                assert p1_objective(phi, core, U) == pytest.approx(f, rel=1e-12)
+                g = p1_euclid_grad(phi, R)
+                assert np.linalg.norm(p1_euclid_grad(phi, core, U) - g) <= 1e-12 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)])
+def test_design_balanced_factor_form_matches_dense_solve(ris_array):
+    # the same solve on (core, U) and on U core U^H, from the same warm start
+    for seed in (3, 4):
+        U, K1, K2 = effective_channels(_channels(seed=seed, ris_array=ris_array))
+        for lam in (0.0, 100.0, 1000.0):
+            core = balance_matrix(K1, K2, lam)
+            phi0 = design_eigen(core, U)
+            _, dense = design_balanced(U @ core @ U.conj().T, phi0=phi0)
+            _, factor = design_balanced(core, phi0=phi0, basis=U)
+            f = dense.objective_values[-1]
+            assert factor.objective_values[-1] == pytest.approx(f, rel=1e-9), (seed, lam)
+            assert factor.converged_by is ConvergedBy.GRAD_NORM
 
 
 def test_numerical_rank_near_overflow_and_empty():

@@ -78,6 +78,28 @@ def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
     assert cfg.ris_array.size not in sizes
 
 
+def test_run_drop_forms_no_surface_sized_balance_matrix(monkeypatch):
+    # each design gets the r x r core and the (M, r) basis of the drop's
+    # Gram core, never an M x M balance matrix
+    import risbal.sim
+
+    cfg = ScenarioConfig(ris_array=ArrayGeometry(16, 32))
+    M = cfg.ris_array.size
+    shapes = []
+    original = risbal.sim.design_balanced
+
+    def recorded(R, *args, basis=None, **kwargs):
+        shapes.append((R.shape, None if basis is None else basis.shape))
+        return original(R, *args, basis=basis, **kwargs)
+
+    monkeypatch.setattr(risbal.sim, "design_balanced", recorded)
+    run_drop(cfg, 5)
+    assert len(shapes) == 2  # Proposed and ConvRis
+    for (rows, cols), basis_shape in shapes:
+        assert rows == cols < M
+        assert basis_shape == (M, rows)
+
+
 @pytest.mark.parametrize("zeroed", [("G1",), ("G1", "G2")], ids=["G1", "G1-G2"])
 def test_run_drop_zero_gains_raise_normalization_error(monkeypatch, zeroed):
     # an all-zero channel adds nothing to the Gram core (r = 0 when both
