@@ -43,8 +43,7 @@ from .ris_design import (
     design_eigen,
     design_random,
     effective_channels,
-    p1_euclid_grad,
-    p1_objective,
+    p1_problem,
 )
 from .sim import (
     Cell,

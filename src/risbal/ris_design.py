@@ -15,12 +15,16 @@ than M. effective_channels gives, once per drop, an orthonormal basis U of
 their joint range and both totals in it, K_i = U^H At_i U, with
 At_i = U K_i U^H; this core is the only form in which the totals are built.
 Since U^H U = I, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam) is the
-core U^H R U of R = U (U^H R U) U^H. Passed with basis=U, the designs take that
-r x r core and never form R: the warm start is an r x r eigensolve, and each
-solver matvec R phi = U (core (U^H phi)) costs O(M r) instead of O(M^2).
+core U^H R U of R = U (U^H R U) U^H. The designs take that r x r core with
+its basis U and never form R: the warm start is an r x r eigensolve, and
+p1_problem forms W = -2 U core once per design, so each solver gradient
+-2 R phi = W (U^H phi) costs O(M r) instead of O(M^2). The identity basis
+poses a dense problem, R being its own core.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -32,8 +36,7 @@ from .manifold import RcgConfig, RcgTrace
 __all__ = [
     "effective_channels",
     "balance_matrix",
-    "p1_objective",
-    "p1_euclid_grad",
+    "p1_problem",
     "design_balanced",
     "design_eigen",
     "design_random",
@@ -104,47 +107,51 @@ def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
     return At1 / n1 - lam * (At2 / n2)
 
 
-def p1_objective(phi: np.ndarray, R: np.ndarray, basis: np.ndarray | None = None) -> float:
-    """-Re(phi^H R phi); with basis U, that of U R U^H for the r x r core R, as
-    -Re(z^H R z) with z = U^H phi. design_balanced checks that R is Hermitian."""
-    z = phi if basis is None else (phi.conj() @ basis).conj()  # U^H phi, U not copied
-    return -float(np.vdot(z, R @ z).real)
+def p1_problem(R: np.ndarray, basis: np.ndarray) -> tuple[Callable, Callable]:
+    """(objective, euclid_grad) of minimizing -Re(phi^H U R U^H phi) for basis
+    U (M, r) and r x r core R; the identity basis poses a dense problem.
 
-
-def p1_euclid_grad(phi: np.ndarray, R: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Ambient gradient -2 R phi of p1_objective; -2 U (R (U^H phi)) with basis U.
-
-    Re<grad, t> is the objective's directional derivative along t; the
-    gradient is affine in phi, so the solver's difference-quotient Hessian
-    products are exact.
+    Uh = U^H and W = -2 U R are formed once: the objective is -Re(z^H R z) with
+    z = Uh phi, and the gradient W (Uh phi) is two matvecs, O(M r). Re<grad, t>
+    is the objective's directional derivative along t; the gradient is affine
+    in phi, so the solver's difference-quotient Hessian products are exact.
+    design_balanced checks that R is Hermitian.
     """
-    return -2.0 * (R @ phi if basis is None else basis @ (R @ (phi.conj() @ basis).conj()))
+    Uh = np.ascontiguousarray(basis.conj().T, dtype=complex)  # cast a real eye once
+    W = basis @ (-2.0 * R)  # the same bits as -2 (U R): a power of two scales exactly
+
+    def objective(phi: np.ndarray) -> float:
+        z = Uh @ phi
+        return -float(np.vdot(z, R @ z).real)
+
+    def euclid_grad(phi: np.ndarray) -> np.ndarray:
+        return W @ (Uh @ phi)
+
+    return objective, euclid_grad
 
 
-def design_eigen(R: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+def design_eigen(R: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Relaxation baseline: normalize each entry of the top eigenvector of
-    basis @ R @ basis^H (of R itself when basis is None).
+    basis @ R @ basis^H.
 
-    basis (M, r) must have orthonormal columns, as effective_channels' U has; R is
-    then the r x r core. If r < M and the core has no positive eigenvalue,
-    the top eigenspace (eigenvalue 0) is null(basis^H), and the vector taken
-    is its projector's column of largest norm, whose squared norm
-    1 - ||basis[m]||^2 is at least 1 - r/M. An exactly zero entry has no
-    defined phase and is set to phase 0. eigh reads one triangle of R only,
-    so R must be Hermitian (design_balanced checks it).
+    basis (M, r) must have orthonormal columns, as effective_channels' U and
+    the identity have; R is the r x r core. If r < M and the core has no
+    positive eigenvalue, the top eigenspace (eigenvalue 0) is null(basis^H),
+    and the vector taken is its projector's column of largest norm, whose
+    squared norm 1 - ||basis[m]||^2 is at least 1 - r/M. An exactly zero entry
+    has no defined phase and is set to phase 0. eigh reads one triangle of R
+    only, so R must be Hermitian (design_balanced checks it).
     """
     try:
         vals, vecs = np.linalg.eigh(R)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    v = vecs[:, -1]  # algebraically largest eigenvalue
-    if basis is not None:
-        if vals[-1] > 0.0 or basis.shape[1] == basis.shape[0]:
-            v = basis @ v
-        else:
-            m = int(np.argmin(np.linalg.norm(basis, axis=1)))
-            v = -(basis @ basis[m].conj())
-            v[m] += 1.0
+    if vals[-1] > 0.0 or basis.shape[1] == basis.shape[0]:
+        v = basis @ vecs[:, -1]  # algebraically largest eigenvalue
+    else:
+        m = int(np.argmin(np.linalg.norm(basis, axis=1)))
+        v = -(basis @ basis[m].conj())
+        v[m] += 1.0
     v = np.where(np.abs(v) == 0.0, 1.0, v)
     return manifold.retract_point(v)
 
@@ -156,28 +163,20 @@ def design_random(M: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=M))
 
 
-def design_balanced(
-    R: np.ndarray,
-    cfg: RcgConfig | None = None,
-    phi0: np.ndarray | None = None,
-    basis: np.ndarray | None = None,
-) -> tuple[np.ndarray, RcgTrace]:
-    """Maximize phi^H R phi over unit-modulus phi with the trust-region solver;
-    with basis U, phi^H U R U^H phi for the r x r core R.
+def design_balanced(R: np.ndarray, basis: np.ndarray, cfg: RcgConfig | None = None,
+                    phi0: np.ndarray | None = None) -> tuple[np.ndarray, RcgTrace]:
+    """Maximize phi^H U R U^H phi over unit-modulus phi with the trust-region
+    solver, for basis U (M, r) and r x r core R; np.eye(M) poses a dense R.
 
     R must be Hermitian, ||R - R^H||_F <= _HERMITIAN_TOL * ||R||_F, or
-    HermitianViolationError is raised; for a core this is the dense check, as
-    ||U X U^H||_F = ||X||_F for orthonormal U. phi0 defaults to
-    design_eigen(R, basis), which the solver can only improve; NumericalError
-    is raised if that eigensolve fails.
+    HermitianViolationError is raised, also for a non-finite entry; for a core
+    this is the dense check, as ||U X U^H||_F = ||X||_F for orthonormal U.
+    phi0 defaults to design_eigen(R, basis), which the solver can only
+    improve; NumericalError is raised if that eigensolve fails.
     """
-    if np.linalg.norm(R - R.conj().T) > _HERMITIAN_TOL * np.linalg.norm(R):
-        raise HermitianViolationError("balance matrix R is not Hermitian")
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.linalg.norm(R - R.conj().T) <= _HERMITIAN_TOL * np.linalg.norm(R):
+            raise HermitianViolationError("balance matrix R is not Hermitian")
     if phi0 is None:
         phi0 = design_eigen(R, basis)
-    return manifold.rcg_minimize(
-        lambda p: p1_objective(p, R, basis),
-        lambda p: p1_euclid_grad(p, R, basis),
-        phi0,
-        cfg,
-    )
+    return manifold.rcg_minimize(*p1_problem(R, basis), phi0, cfg)

@@ -27,8 +27,7 @@ from risbal import (
     balance_matrix,
     design_balanced,
     gen_channel_set,
-    p1_euclid_grad,
-    p1_objective,
+    p1_problem,
     project_to_tangent,
     rcg_minimize,
     retract_point,
@@ -85,7 +84,7 @@ def test_oracle_optimality_m3_grid():
         rng = np.random.default_rng(1000 + s)
         R = random_hermitian(3, rng)
         f_grid = grid_min_objective(R, levels=24)  # 13824 candidates
-        _, trace = design_balanced(R)
+        _, trace = design_balanced(R, np.eye(3))
         gap = (trace.objective_values[-1] - f_grid) / abs(f_grid)
         if gap <= 0.02:
             hits += 1
@@ -102,7 +101,7 @@ def test_descent_and_gradient_convergence_m128():
     cfg = RcgConfig(max_iters=2000)
     grad_tol = 1e-6 * 128
     for s in range(n):
-        _, trace = design_balanced(_pipeline_balance(2000 + s, lam=100.0), cfg)
+        _, trace = design_balanced(_pipeline_balance(2000 + s, lam=100.0), np.eye(128), cfg)
         assert np.all(np.diff(trace.objective_values) <= 0.0)
         if trace.final_grad_norm < grad_tol:
             converged += 1
@@ -226,8 +225,10 @@ class _CallBudgetSpent(Exception):
     pass
 
 
-def _seconds_per_grad_call(R, phi0, basis=None, budget=200):
-    """Best of 5 solves cut after budget gradient calls: seconds per call."""
+def _seconds_per_grad_call(R, basis, phi0, budget=200):
+    """Best of 5 solves cut after budget gradient calls: seconds per call.
+    The problem is built once, before the timed solves."""
+    objective, euclid_grad = p1_problem(R, basis)
     cfg = RcgConfig(max_iters=500, grad_tol=0.0)
     best = np.inf
     for _ in range(5):
@@ -238,11 +239,11 @@ def _seconds_per_grad_call(R, phi0, basis=None, budget=200):
             if calls == budget:
                 raise _CallBudgetSpent
             calls += 1
-            return p1_euclid_grad(p, R, basis)
+            return euclid_grad(p)
 
         t0 = time.perf_counter()
         try:
-            rcg_minimize(lambda p: p1_objective(p, R, basis), grad, phi0, cfg)
+            rcg_minimize(objective, grad, phi0, cfg)
         except _CallBudgetSpent:
             pass
         elapsed = time.perf_counter() - t0
@@ -252,10 +253,11 @@ def _seconds_per_grad_call(R, phi0, basis=None, budget=200):
 
 
 def test_complexity_quadratic_in_surface_size():
-    # the trust-region solve spends 1 to M gradient calls (one matvec each)
-    # per outer iteration, so the work unit timed here is the gradient call:
+    # the trust-region solve spends 1 to M gradient calls per outer
+    # iteration, so the work unit timed here is the gradient call:
     # a solve cut after a fixed number of calls, divided by the calls made,
-    # must grow no faster than M^2
+    # must grow no faster than M^2; a dense R is its own core in the identity
+    # basis, where a call is two M x M matvecs
     sizes = [64, 128, 256, 512]
     budget = 200
     per_call = []
@@ -263,7 +265,7 @@ def test_complexity_quadratic_in_surface_size():
         rng = np.random.default_rng(M)
         R = random_hermitian(M, rng)
         phi0 = random_phi(M, rng)
-        per_call.append(_seconds_per_grad_call(R, phi0, budget=budget))
+        per_call.append(_seconds_per_grad_call(R, np.eye(M), phi0, budget=budget))
     slope = np.polyfit(np.log2(sizes), np.log2(per_call), 1)[0]
     assert slope <= 2.3
     print(
@@ -275,7 +277,7 @@ def test_complexity_quadratic_in_surface_size():
 
 def test_complexity_linear_in_surface_size_in_factor_form():
     # with a basis U (M, r) and an r x r core, a gradient call is
-    # U (core (U^H phi)), O(M r): from M = 512 to 2048 its time must grow
+    # (-2 U core) (U^H phi), O(M r): from M = 512 to 2048 its time must grow
     # less than 8x, between linear (4x) and quadratic (16x, a dense matvec)
     r = 72
     rng = np.random.default_rng(r)
@@ -284,7 +286,7 @@ def test_complexity_linear_in_surface_size_in_factor_form():
     per_call = []
     for M in sizes:
         U, _ = np.linalg.qr(rng.standard_normal((M, r)) + 1j * rng.standard_normal((M, r)))
-        per_call.append(_seconds_per_grad_call(core, random_phi(M, rng), basis=U))
+        per_call.append(_seconds_per_grad_call(core, U, random_phi(M, rng)))
     growth = per_call[1] / per_call[0]
     assert growth <= 8.0
     print(

@@ -11,6 +11,8 @@ from conftest import (
     random_phi,
     total_gain_matrix,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbal import (
     ArrayGeometry,
@@ -23,8 +25,7 @@ from risbal import (
     design_random,
     effective_channels,
     gen_channel_set,
-    p1_euclid_grad,
-    p1_objective,
+    p1_problem,
 )
 from risbal.errors import HermitianViolationError, NormalizationError, NumericalError
 from risbal.manifold import project_to_tangent, unit_modulus_error
@@ -127,16 +128,20 @@ def test_balance_matrix_zero_norm_raises():
 
 # ----------------------------------------------------------- objective, grad
 
+def _dense_objective(phi, R):
+    return p1_problem(R, np.eye(len(R)))[0](phi)
+
+
 def test_objective_scalar_case():
     R = np.array([[2.5 + 0j]])
     for ang in [0.0, 1.0, 2.0]:
-        assert p1_objective(np.array([np.exp(1j * ang)]), R) == pytest.approx(-2.5)
+        assert _dense_objective(np.array([np.exp(1j * ang)]), R) == pytest.approx(-2.5)
 
 
 def test_objective_identity_matrix():
     rng = np.random.default_rng(8)
     M = 7
-    assert p1_objective(random_phi(M, rng), np.eye(M, dtype=complex)) == pytest.approx(-M)
+    assert _dense_objective(random_phi(M, rng), np.eye(M, dtype=complex)) == pytest.approx(-M)
 
 
 def test_objective_matches_double_sum():
@@ -146,7 +151,7 @@ def test_objective_matches_double_sum():
     double_sum = sum(
         np.conj(phi[m]) * R[m, n] * phi[n] for m in range(4) for n in range(4)
     )
-    assert p1_objective(phi, R) == pytest.approx(-double_sum.real, rel=1e-12)
+    assert _dense_objective(phi, R) == pytest.approx(-double_sum.real, rel=1e-12)
     assert abs(double_sum.imag) < 1e-9
 
 
@@ -154,10 +159,10 @@ def test_design_balanced_rejects_non_hermitian():
     rng = np.random.default_rng(10)
     X = _random_complex((3, 3), rng)  # generic, far from Hermitian
     with pytest.raises(HermitianViolationError):
-        design_balanced(X)
+        design_balanced(X, np.eye(3))
     # a Gram product without explicit symmetrization is Hermitian to roundoff
     A = _random_complex((3, 2), rng)
-    phi, _ = design_balanced(A @ A.conj().T)
+    phi, _ = design_balanced(A @ A.conj().T, np.eye(3))
     assert unit_modulus_error(phi) < 1e-12
     # with a basis the check runs on the core it is given, and equals the
     # dense check on U X U^H: the Frobenius norms are the same
@@ -165,40 +170,60 @@ def test_design_balanced_rejects_non_hermitian():
     assert np.linalg.norm(U @ (X - X.conj().T) @ U.conj().T) == pytest.approx(
         np.linalg.norm(X - X.conj().T), rel=1e-12)
     with pytest.raises(HermitianViolationError):
-        design_balanced(X, basis=U)
+        design_balanced(X, U)
+    # an inf on the diagonal makes R - R^H nan, and a nan above it is missed
+    # by eigh, which reads the lower triangle only: both are a violation,
+    # raised without a RuntimeWarning (the suite turns one into an error)
+    for entry, value in (((0, 0), np.inf), ((0, 1), np.nan)):
+        R = np.eye(3, dtype=complex)
+        R[entry] = value
+        with pytest.raises(HermitianViolationError):
+            design_balanced(R, np.eye(3))
 
 
 def test_gradient_zero_and_identity():
     rng = np.random.default_rng(11)
     phi = random_phi(5, rng)
     np.testing.assert_array_equal(
-        p1_euclid_grad(phi, np.zeros((5, 5))), np.zeros(5)
+        p1_problem(np.zeros((5, 5)), np.eye(5))[1](phi), np.zeros(5)
     )
     np.testing.assert_allclose(
-        p1_euclid_grad(phi, np.eye(5, dtype=complex)), -2.0 * phi,
+        p1_problem(np.eye(5, dtype=complex), np.eye(5))[1](phi), -2.0 * phi,
         atol=1e-15,
     )
 
 
-def test_gradient_finite_difference_scale_convention():
-    # the projected ambient gradient is the Riemannian gradient: its inner
-    # product with a unit tangent t equals the directional derivative
-    # (of the form with U R U^H too, for a basis U and an r x r core R)
-    rng = np.random.default_rng(12)
-    R = random_hermitian(6, rng)
-    phi = random_phi(6, rng)
-    U, _ = np.linalg.qr(_random_complex((6, 3), rng))
-    for core, basis in ((R, None), (random_hermitian(3, rng), U)):
-        g_proj = project_to_tangent(p1_euclid_grad(phi, core, basis), phi)
-        h = 1e-5
-        for _ in range(10):
-            z = _random_complex(6, rng)
-            t = project_to_tangent(z, phi)
-            t /= np.linalg.norm(t)
-            fd = (p1_objective(phi + h * t, core, basis)
-                  - p1_objective(phi - h * t, core, basis)) / (2 * h)
-            exact = float(np.real(np.vdot(g_proj, t)))
-            assert abs(fd - exact) < 1e-6 * max(abs(exact), 1e-12)
+@settings(max_examples=100, deadline=None)
+@given(M=st.integers(1, 24), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_gradient_finite_difference_scale_convention(M, data, seed):
+    # for a basis U (the identity or an orthonormal QR factor) and a Hermitian
+    # r x r core, the problem is that of R = U core U^H: its gradient is
+    # -2 R phi, its objective -phi^H R phi, and the projected gradient is the
+    # Riemannian gradient, whose inner product with a unit tangent t equals
+    # the directional derivative
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="identity basis"):
+        U = np.eye(M)
+    else:
+        U, _ = np.linalg.qr(_random_complex((M, data.draw(st.integers(1, M), label="r")), rng))
+    core = random_hermitian(U.shape[1], rng)
+    R = U @ core @ U.conj().T
+    objective, euclid_grad = p1_problem(core, U)
+    phi = random_phi(M, rng)
+    g = euclid_grad(phi)
+    ref = -2.0 * (R @ phi)
+    assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+    # |phi^H R phi| <= M ||core||_F bounds the rounding of both values below
+    scale = M * np.linalg.norm(core)
+    assert abs(objective(phi) + quadform(phi, R)) <= 1e-12 * scale
+    g_proj = project_to_tangent(g, phi)
+    h = 1e-5
+    for _ in range(10):
+        t = project_to_tangent(_random_complex(M, rng), phi)
+        t /= np.linalg.norm(t)
+        fd = (objective(phi + h * t) - objective(phi - h * t)) / (2 * h)
+        exact = float(np.real(np.vdot(g_proj, t)))
+        assert abs(fd - exact) <= 1e-8 * scale
 
 
 # ------------------------------------------------------------------- designs
@@ -214,16 +239,16 @@ def _balance(cs, lam):
 
 def test_design_balanced_zero_weight_reproducible():
     R = _balance(_channels(seed=1), 0.0)
-    phi_a, _ = design_balanced(R)
-    phi_b, _ = design_balanced(R)
+    phi_a, _ = design_balanced(R, np.eye(len(R)))
+    phi_b, _ = design_balanced(R, np.eye(len(R)))
     np.testing.assert_array_equal(phi_a, phi_b)
 
 
 def test_design_balanced_improves_on_warm_start():
     R = _balance(_channels(seed=2), 100.0)
-    phi0 = design_eigen(R)
-    phi, trace = design_balanced(R)
-    assert trace.objective_values[-1] <= p1_objective(phi0, R)
+    phi0 = design_eigen(R, np.eye(len(R)))
+    phi, trace = design_balanced(R, np.eye(len(R)))
+    assert trace.objective_values[-1] <= -quadform(phi0, R)
     assert unit_modulus_error(phi) < 1e-12
 
 
@@ -231,7 +256,7 @@ def test_design_balanced_slow_drop_stops_on_gradient_norm():
     # at 20 dB this reference drop creeps along for many steps before its
     # gradient is small; the solve must run until it is, not stop early
     R = _balance(_channels(seed=2084), 100.0)
-    _, trace = design_balanced(R, RcgConfig(max_iters=2000))
+    _, trace = design_balanced(R, np.eye(len(R)), RcgConfig(max_iters=2000))
     assert trace.converged_by is ConvergedBy.GRAD_NORM
     assert trace.final_grad_norm < 1e-6 * 128
 
@@ -240,7 +265,8 @@ def test_design_balanced_strong_weight_stops_before_cap():
     # at 30 dB R is strongly indefinite; the solve must still converge
     # within the default iteration budget on every reference drop
     for seed in range(90000, 90020):
-        _, trace = design_balanced(_balance(_channels(seed=seed), 1000.0))
+        R = _balance(_channels(seed=seed), 1000.0)
+        _, trace = design_balanced(R, np.eye(len(R)))
         assert trace.converged_by is not ConvergedBy.MAX_ITERS, seed
 
 
@@ -251,7 +277,7 @@ def test_design_balanced_eigensolve_failure_raises(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError):
-        design_balanced(np.eye(3, dtype=complex))
+        design_balanced(np.eye(3, dtype=complex), np.eye(3))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -262,22 +288,22 @@ def test_design_balanced_near_grid_optimum_m2(seed):
     cfg = small_cfg(ris_array=__import__("risbal").ArrayGeometry(1, 2))
     cs = gen_channel_set(cfg, np.random.default_rng(40 + seed))
     R = _balance(cs, 1.0)
-    _, trace = design_balanced(R)
+    _, trace = design_balanced(R, np.eye(2))
     f_grid = grid_min_objective(R, levels=24)
     assert trace.objective_values[-1] <= f_grid + 0.02 * abs(f_grid)
 
 
 def test_design_eigen_axis_aligned():
-    phi = design_eigen(np.diag([2.0, 1.0]).astype(complex))
+    phi = design_eigen(np.diag([2.0, 1.0]).astype(complex), np.eye(2))
     # top eigenvector is e1; its zero entry takes phase 0
     np.testing.assert_allclose(phi, np.array([1.0, 1.0]), atol=1e-12)
 
 
 def test_design_eigen_identity_degenerate():
     R = np.eye(4, dtype=complex)
-    phi = design_eigen(R)
+    phi = design_eigen(R, np.eye(4))
     assert unit_modulus_error(phi) < 1e-12
-    assert p1_objective(phi, R) == pytest.approx(-4.0)
+    assert _dense_objective(phi, R) == pytest.approx(-4.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -286,7 +312,7 @@ def test_design_eigen_baseline_quality(seed):
     # to land within 35% of the 24-level grid optimum on random instances
     rng = np.random.default_rng(300 + seed)
     R = random_hermitian(4, rng)
-    phi = design_eigen(R)
+    phi = design_eigen(R, np.eye(4))
     val = quadform(phi, R)
     lam_max = np.linalg.eigvalsh(R)[-1]
     assert val <= 4 * lam_max + 1e-9
@@ -301,7 +327,7 @@ def test_design_eigen_lifts_core_through_basis():
     U, _ = np.linalg.qr(_random_complex((8, 3), rng))
     K = random_hermitian(3, rng) + 4.0 * np.eye(3)  # top eigenvalue positive
     phi = design_eigen(K, U)
-    ref = design_eigen(U @ K @ U.conj().T)
+    ref = design_eigen(U @ K @ U.conj().T, np.eye(8))
     assert unit_modulus_error(phi) < 1e-12
     assert abs(np.vdot(ref, phi)) == pytest.approx(8.0, rel=1e-10)
 
@@ -346,25 +372,27 @@ def test_gram_core_reproduces_the_totals_and_their_top_eigenvector(ris_array, se
             if vals[-1] - vals[-2] > 1e-6 * np.abs(vals).max():
                 lifted = U @ core_vecs[:, -1]
                 assert abs(np.vdot(lifted, vecs[:, -1])) == pytest.approx(1.0, abs=1e-8)
-                assert abs(np.vdot(design_eigen(R), design_eigen(balance_matrix(K1, K2, lam), U))) \
+                assert abs(np.vdot(design_eigen(R, np.eye(M)),
+                                   design_eigen(balance_matrix(K1, K2, lam), U))) \
                     == pytest.approx(M, rel=1e-6), (seed, lam)
 
 
 @pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)])
 def test_factor_form_matches_dense_on_drops(ris_array):
-    # objective and gradient on (core, U) against the same on U core U^H, at
-    # arbitrary phases and at the warm start, for both weights a drop solves
+    # objective and gradient on (core, U) against -phi^H R phi and -2 R phi
+    # for R = U core U^H, at arbitrary phases and at the warm start, for both
+    # weights a drop solves
     rng = np.random.default_rng(19)
     for seed in (1, 2):
         U, K1, K2 = effective_channels(_channels(seed=seed, ris_array=ris_array))
         for lam in (0.0, 100.0):
             core = balance_matrix(K1, K2, lam)
             R = U @ core @ U.conj().T
+            objective, euclid_grad = p1_problem(core, U)
             for phi in (random_phi(U.shape[0], rng), design_eigen(core, U)):
-                f = p1_objective(phi, R)
-                assert p1_objective(phi, core, U) == pytest.approx(f, rel=1e-12)
-                g = p1_euclid_grad(phi, R)
-                assert np.linalg.norm(p1_euclid_grad(phi, core, U) - g) <= 1e-12 * np.linalg.norm(g)
+                assert objective(phi) == pytest.approx(-quadform(phi, R), rel=1e-12)
+                g = -2.0 * (R @ phi)
+                assert np.linalg.norm(euclid_grad(phi) - g) <= 1e-12 * np.linalg.norm(g)
 
 
 @pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)])
@@ -375,8 +403,8 @@ def test_design_balanced_factor_form_matches_dense_solve(ris_array):
         for lam in (0.0, 100.0, 1000.0):
             core = balance_matrix(K1, K2, lam)
             phi0 = design_eigen(core, U)
-            _, dense = design_balanced(U @ core @ U.conj().T, phi0=phi0)
-            _, factor = design_balanced(core, phi0=phi0, basis=U)
+            _, dense = design_balanced(U @ core @ U.conj().T, np.eye(len(U)), phi0=phi0)
+            _, factor = design_balanced(core, U, phi0=phi0)
             f = dense.objective_values[-1]
             assert factor.objective_values[-1] == pytest.approx(f, rel=1e-9), (seed, lam)
             assert factor.converged_by is ConvergedBy.GRAD_NORM
@@ -405,7 +433,8 @@ def test_gram_core_degenerate_when_cells_see_the_same_gains():
     phi0 = design_eigen(core, U)
     assert np.all(np.isfinite(phi0))
     assert unit_modulus_error(phi0) < 1e-12
-    phi, trace = design_balanced(balance_matrix(*dense_totals(cs), lam), phi0=phi0)
+    R = balance_matrix(*dense_totals(cs), lam)
+    phi, trace = design_balanced(R, np.eye(len(R)), phi0=phi0)
     assert np.all(np.isfinite(phi))
     assert trace.objective_values[-1] <= trace.objective_values[0]
 
@@ -442,9 +471,9 @@ def test_objective_global_phase_invariance():
     R = _balance(_channels(seed=4), 10.0)
     rng = np.random.default_rng(16)
     phi = random_phi(R.shape[0], rng)
-    f = p1_objective(phi, R)
+    f = _dense_objective(phi, R)
     for alpha in rng.uniform(0, 2 * np.pi, size=5):
-        assert p1_objective(np.exp(1j * alpha) * phi, R) == pytest.approx(f, rel=1e-10)
+        assert _dense_objective(np.exp(1j * alpha) * phi, R) == pytest.approx(f, rel=1e-10)
 
 
 def test_tradeoff_monotone_in_weight():
@@ -459,7 +488,7 @@ def test_tradeoff_monotone_in_weight():
         At2n = At2 / np.linalg.norm(At2)
         gains = []
         for lam in (0.0, 1.0, 10.0, 100.0):
-            phi, _ = design_balanced(balance_matrix(At1, At2, lam))
+            phi, _ = design_balanced(balance_matrix(At1, At2, lam), np.eye(len(At1)))
             gains.append(quadform(phi, At2n))
         if all(gains[i + 1] <= gains[i] * (1 + 1e-9) for i in range(3)):
             ok += 1

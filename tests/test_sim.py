@@ -88,9 +88,9 @@ def test_run_drop_forms_no_surface_sized_balance_matrix(monkeypatch):
     shapes = []
     original = risbal.sim.design_balanced
 
-    def recorded(R, *args, basis=None, **kwargs):
-        shapes.append((R.shape, None if basis is None else basis.shape))
-        return original(R, *args, basis=basis, **kwargs)
+    def recorded(R, basis, *args, **kwargs):
+        shapes.append((R.shape, basis.shape))
+        return original(R, basis, *args, **kwargs)
 
     monkeypatch.setattr(risbal.sim, "design_balanced", recorded)
     run_drop(cfg, 5)
