@@ -3,8 +3,11 @@
 Points are length-M complex vectors with unit-modulus entries, stored as plain
 numpy arrays. Tangent vectors at phi satisfy Re(t_m * conj(phi_m)) = 0 per
 entry. The metric is the real part of the Euclidean Hermitian inner product.
-The solver stops on a small Riemannian gradient norm, at its iteration cap,
-or when its trust radius has shrunk below what double precision resolves.
+Inside the solver a tangent vector is t = i phi * x with x real of length M;
+as |phi_m| = 1 this map is an isometry, Re<t1, t2> = x1 . x2, so the inner
+solve runs on real vectors and a step maps back to the manifold once. The
+solver stops on a small Riemannian gradient norm, at its iteration cap, or
+when its trust radius has shrunk below what double precision resolves.
 
 All functions are pure and never mutate their inputs; the solver is
 single-threaded per call and safe to run concurrently from many threads.
@@ -12,6 +15,7 @@ single-threaded per call and safe to run concurrently from many threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -62,7 +66,7 @@ def retract_point(x: np.ndarray) -> np.ndarray:
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
+    return float(np.vdot(a, b).real)
 
 
 @dataclass(frozen=True)
@@ -100,49 +104,49 @@ class RcgTrace:
     final_grad_norm: float
 
 
-def _truncated_cg(
-    hess: Callable[[np.ndarray], np.ndarray],
-    g: np.ndarray,
-    radius: float,
-    max_inner: int,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _truncated_cg(hess: Callable[[np.ndarray], np.ndarray], g: np.ndarray, radius: float,
+                  max_inner: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Steihaug-Toint truncated CG on the model <g, eta> + <eta, Hess[eta]>/2.
 
     Starts at eta = 0 and runs CG until the residual is small or max_inner
-    iterations have passed. On negative curvature, or when the next iterate
-    would leave the ball ||eta|| <= radius, it steps along the current
-    direction to the boundary instead. Each iterate lowers the model. Returns
-    (eta, Hess[eta], whether eta lies on the boundary).
+    iterations have passed. On curvature that is not positive (nan included),
+    or when the next iterate would leave the ball ||eta|| <= radius, it steps
+    along the current direction to the boundary instead. Each iterate lowers
+    the model. <eta, eta>, <eta, delta> and <delta, delta> follow Conn, Gould
+    & Toint's recurrences (2000, sec. 7.5), two inner products a step, and
+    Hess[eta] is the residual r = g + Hess[eta] less g. Returns (eta,
+    Hess[eta], whether eta lies on the boundary).
     """
     eta = np.zeros_like(g)
-    h_eta = np.zeros_like(g)
     r = g
     r_r = _inner(r, r)
     if r_r == 0.0:
-        return eta, h_eta, False
-    r0_norm = np.sqrt(r_r)
-    target = r0_norm * min(r0_norm, _TCG_KAPPA)
+        return eta, eta, False
+    target = math.sqrt(r_r) * min(math.sqrt(r_r), _TCG_KAPPA)
     delta = -r
+    e_e, e_d, d_d = 0.0, 0.0, r_r
     for _ in range(max_inner):
         h_delta = hess(delta)
         d_hd = _inner(delta, h_delta)
         # tau solves ||eta + tau delta|| = radius; comparing alpha = r_r/d_hd
         # with it by product avoids dividing by a vanishing curvature
-        e_d, d_d = _inner(eta, delta), _inner(delta, delta)
-        room = max(0.0, radius * radius - _inner(eta, eta))
-        tau = (np.sqrt(e_d * e_d + d_d * room) - e_d) / d_d
-        if d_hd <= 0.0 or r_r >= tau * d_hd:
-            return eta + tau * delta, h_eta + tau * h_delta, True
+        room = max(0.0, radius * radius - e_e)
+        tau = (math.sqrt(e_d * e_d + d_d * room) - e_d) / d_d
+        if not d_hd > 0.0 or r_r >= tau * d_hd:
+            return eta + tau * delta, (r - g) + tau * h_delta, True
         alpha = r_r / d_hd
         eta = eta + alpha * delta
-        h_eta = h_eta + alpha * h_delta
         r = r + alpha * h_delta
         r_r_next = _inner(r, r)
-        if np.sqrt(r_r_next) <= target:
+        if math.sqrt(r_r_next) <= target:
             break
-        delta = -r + (r_r_next / r_r) * delta
+        beta = r_r_next / r_r
+        e_e = e_e + alpha * (2.0 * e_d + alpha * d_d)
+        e_d = beta * (e_d + alpha * d_d)
+        d_d = r_r_next + beta * beta * d_d
+        delta = beta * delta - r
         r_r = r_r_next
-    return eta, h_eta, False
+    return eta, r - g, False
 
 
 def rcg_minimize(
@@ -154,14 +158,18 @@ def rcg_minimize(
     """Minimize a smooth objective over the complex circle manifold.
 
     Riemannian trust-region method (Absil, Baker & Gallivan 2007) with a
-    truncated-CG inner solve and entry-wise normalization as the retraction.
-    The trust radius starts at pi * sqrt(M) / 8 and is capped at pi * sqrt(M).
-    Hessian-vector products are
-        Hess f(phi)[u] = P_phi(ehess[u] - Re(egrad * conj(phi)) * u),
-    where P_phi is project_to_tangent and ehess[u] is the difference quotient
-    of euclid_grad over the unit-norm step u / ||u||; it is exact for affine
-    gradients such as -2 R phi, and costs one euclid_grad call. The stop
-    reasons, reported in RcgTrace.converged_by:
+    truncated-CG inner solve in real tangent coordinates (see the module
+    docstring) and entry-wise normalization as the retraction. The trust
+    radius starts at pi * sqrt(M) / 8 and is capped at pi * sqrt(M). With
+    p = conj(phi) * euclid_grad(phi), the gradient's coordinates are Im(p), and
+        Hess f(phi)[x] = Im(conj(phi) * ehess[x]) - Re(p) * x,
+    where ehess[x] is the difference quotient of euclid_grad over the unit
+    step i phi * x / ||x||: exact for affine gradients such as -2 R phi, at one
+    euclid_grad call. NumericalError is raised for a non-finite objective at
+    phi0 or a candidate, a non-finite gradient at phi0 or an accepted point,
+    and a non-finite predicted decrease; a Hessian product that is not finite
+    ends the inner solve through its curvature test. The stop reasons,
+    reported in RcgTrace.converged_by:
 
       GRAD_NORM    the Riemannian gradient norm fell below grad_tol
       MAX_ITERS    max_iters outer iterations were taken
@@ -183,7 +191,7 @@ def rcg_minimize(
 
     def value(point: np.ndarray) -> float:
         fp = float(objective(point))
-        if not np.isfinite(fp):
+        if not math.isfinite(fp):
             raise NumericalError("objective returned a non-finite value")
         return fp
 
@@ -193,33 +201,39 @@ def rcg_minimize(
             raise NumericalError("gradient returned non-finite values")
         return eg
 
+    def frame(point: np.ndarray, eg: np.ndarray) -> tuple[np.ndarray, ...]:
+        # conj(phi), i phi, gradient coordinates Im(p) and curvature Re(p)
+        phi_c = point.conj()
+        p = eg * phi_c
+        return phi_c, 1j * point, p.imag.copy(), p.real.copy()
+
+    def hess(x: np.ndarray) -> np.ndarray:
+        norm = math.sqrt(_inner(x, x))
+        probe = euclid_grad(phi + iphi * (x / norm))
+        return ((probe - eg) * phi_c).imag * norm - curvature * x
+
     f = value(phi)
     eg = egrad(phi)
-    g = project_to_tangent(eg, phi)
+    phi_c, iphi, g, curvature = frame(phi, eg)
     values = [f]
     converged = ConvergedBy.MAX_ITERS
-    iterations = 0
 
-    for t in range(cfg.max_iters):
-        if np.sqrt(_inner(g, g)) < grad_tol:
+    for _ in range(cfg.max_iters):
+        if math.sqrt(_inner(g, g)) < grad_tol:
             converged = ConvergedBy.GRAD_NORM
             break
         if radius < np.finfo(float).eps * max_radius:
             converged = ConvergedBy.TRUST_REGION
             break
 
-        curvature = np.real(eg * np.conj(phi))
-
-        def hess(u: np.ndarray) -> np.ndarray:
-            s = 1.0 / np.sqrt(_inner(u, u))
-            ehess = (egrad(phi + s * u) - eg) / s
-            return project_to_tangent(ehess - curvature * u, phi)
-
         eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
-        cand = retract_point(phi + eta)
+        predicted = -(_inner(g, eta) + 0.5 * _inner(eta, h_eta))
+        if not math.isfinite(predicted):
+            raise NumericalError("Hessian product returned non-finite values")
+        cand = phi + iphi * eta
+        cand /= np.abs(cand)  # each modulus is sqrt(1 + x_m^2) >= 1
         f_cand = value(cand)
         actual = f - f_cand
-        predicted = -(_inner(g, eta) + 0.5 * _inner(eta, h_eta))
         # the ratio rho = actual / predicted, tested by products
         if not (predicted > 0.0 and actual >= _RHO_SHRINK * predicted):
             radius /= 4.0
@@ -227,14 +241,8 @@ def rcg_minimize(
             radius = min(2.0 * radius, max_radius)
         if predicted > 0.0 and actual > _RHO_ACCEPT * predicted:
             phi, f, eg = cand, f_cand, egrad(cand)
-            g = project_to_tangent(eg, phi)
+            phi_c, iphi, g, curvature = frame(phi, eg)
         values.append(f)
-        iterations = t + 1
 
-    trace = RcgTrace(
-        objective_values=np.asarray(values),
-        iterations=iterations,
-        converged_by=converged,
-        final_grad_norm=float(np.sqrt(_inner(g, g))),
-    )
-    return phi, trace
+    return phi, RcgTrace(objective_values=np.asarray(values), iterations=len(values) - 1,
+                         converged_by=converged, final_grad_norm=math.sqrt(_inner(g, g)))

@@ -168,14 +168,17 @@ def design_balanced(R: np.ndarray, basis: np.ndarray, cfg: RcgConfig | None = No
     """Maximize phi^H U R U^H phi over unit-modulus phi with the trust-region
     solver, for basis U (M, r) and r x r core R; np.eye(M) poses a dense R.
 
-    R must be Hermitian, ||R - R^H||_F <= _HERMITIAN_TOL * ||R||_F, or
+    R must be Hermitian, ||S - S^H||_F <= _HERMITIAN_TOL * ||S||_F for R scaled
+    to S by its largest real or imaginary part, so that no norm overflows, or
     HermitianViolationError is raised, also for a non-finite entry; for a core
     this is the dense check, as ||U X U^H||_F = ||X||_F for orthonormal U.
     phi0 defaults to design_eigen(R, basis), which the solver can only
     improve; NumericalError is raised if that eigensolve fails.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        if not np.linalg.norm(R - R.conj().T) <= _HERMITIAN_TOL * np.linalg.norm(R):
+    with np.errstate(invalid="ignore"):
+        scale = max(np.abs(R.real).max(initial=0.0), np.abs(R.imag).max(initial=0.0))
+        S = R / (scale or 1.0)
+        if not np.linalg.norm(S - S.conj().T) <= _HERMITIAN_TOL * np.linalg.norm(S):
             raise HermitianViolationError("balance matrix R is not Hermitian")
     if phi0 is None:
         phi0 = design_eigen(R, basis)

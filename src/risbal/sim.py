@@ -14,8 +14,10 @@ Per-drop seeds are a fixed hash-mix of (master seed, sweep index, drop
 index); with CRN the sweep index is left out. A sweep runs drop-major, in
 one process: each drop index runs every sweep value in turn, and values
 with the same drop seed share the drop's channels, Gram totals, RandRis
-phases and balanced designs (keyed by linear weight). So a CRN lambda sweep
-draws each drop once, and a CRN txpower sweep designs once for all powers.
+phases and balanced designs (keyed by linear weight), and per transmit
+power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
+a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
+sweep computes only its Proposed design and rates.
 BLAS threads (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only
 parallelism.
 """
@@ -80,7 +82,9 @@ class SweepResult:
 
 
 class _Drop:
-    """One drop's weight-free work, and its balanced designs by linear weight."""
+    """One drop's weight-free work: its draw, its balanced designs by linear
+    weight and, per transmit power, the direct-link precoder F2 with the
+    ConvRis, RandRis and NoRis rates."""
 
     def __init__(self, cfg: ScenarioConfig, drop_seed: int) -> None:
         chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
@@ -88,6 +92,7 @@ class _Drop:
         self.basis, self.K1, self.K2 = effective_channels(self.channels)
         self.phi_rand = design_random(cfg.ris_array.size, np.random.default_rng(phase_ss))
         self.designs: dict[float, np.ndarray] = {}
+        self.per_power: dict[float, tuple[np.ndarray, dict[Scheme, tuple[float, float]]]] = {}
 
     def design(self, lam: float) -> np.ndarray:
         """The balanced design at weight lam, solved in the drop's Gram core on first use."""
@@ -95,6 +100,28 @@ class _Drop:
             core = balance_matrix(self.K1, self.K2, lam)
             self.designs[lam] = design_balanced(core, basis=self.basis)[0]
         return self.designs[lam]
+
+    def rates(self, phi: np.ndarray, power: float, F2: np.ndarray) -> tuple[float, float]:
+        """(R1, R2) with phases phi: cell 1 precodes on its composite channel,
+        BS 2 keeps F2, which it designed with direct-link knowledge only."""
+        noise = self.channels.noise_var
+        rows1 = composite_cell1(phi, self.channels)
+        r1 = evaluate(rows1, slnr_beamformer(rows1, power, noise), noise).sum_rate
+        return r1, evaluate(composite_cell2(phi, self.channels), F2, noise).sum_rate
+
+    def weight_free(self, power: float) -> tuple[np.ndarray, dict[Scheme, tuple[float, float]]]:
+        """F2 and the rates of every scheme but Proposed at power, on first use."""
+        if power not in self.per_power:
+            noise = self.channels.noise_var
+            direct_rows = np.conj(self.channels.h_d2)
+            F2 = slnr_beamformer(direct_rows, power, noise)
+            self.per_power[power] = F2, {
+                Scheme.CONV_RIS: self.rates(self.design(0.0), power, F2),
+                Scheme.RAND_RIS: self.rates(self.phi_rand, power, F2),
+                # cell 1 is fully blocked without the surface
+                Scheme.NO_RIS: (0.0, evaluate(direct_rows, F2, noise).sum_rate),
+            }
+        return self.per_power[power]
 
 
 def run_drop(
@@ -106,8 +133,8 @@ def run_drop(
 
     shared holds the latest draw by its seed. A sweep passes one map to all
     its calls, so values with the same seed reuse the draw and a new seed
-    replaces it. Nothing in a draw may depend on the swept fields (transmit
-    power, weight).
+    replaces it. Nothing in a draw may depend on the weight, and only its
+    per-power entries on the transmit power.
     """
     if shared is None:
         shared = {}
@@ -115,32 +142,9 @@ def run_drop(
         shared.clear()
         shared[drop_seed] = _Drop(cfg, drop_seed)
     drop = shared[drop_seed]
-    channels = drop.channels
-
-    power = cfg.transmit_power_w
-    noise = channels.noise_var
-    phis = {
-        Scheme.PROPOSED: drop.design(cfg.lambda_linear),
-        Scheme.CONV_RIS: drop.design(0.0),
-        Scheme.RAND_RIS: drop.phi_rand,
-    }
-
-    direct_rows = np.conj(channels.h_d2)
-    # BS 2 designs with direct-link knowledge only
-    F2 = slnr_beamformer(direct_rows, power, noise)
-
-    results: dict[Scheme, tuple[float, float]] = {}
-    for scheme, phi in phis.items():
-        rows1 = composite_cell1(phi, channels)
-        F1 = slnr_beamformer(rows1, power, noise)
-        r1 = evaluate(rows1, F1, noise).sum_rate
-        rows2 = composite_cell2(phi, channels)
-        r2 = evaluate(rows2, F2, noise).sum_rate
-        results[scheme] = (r1, r2)
-
-    r2_direct = evaluate(direct_rows, F2, noise).sum_rate
-    results[Scheme.NO_RIS] = (0.0, r2_direct)
-    return results
+    F2, fixed = drop.weight_free(cfg.transmit_power_w)
+    proposed = drop.rates(drop.design(cfg.lambda_linear), cfg.transmit_power_w, F2)
+    return {Scheme.PROPOSED: proposed, **fixed}
 
 
 def drop_seed_for(seed: int, sweep_index: int, drop_index: int, crn: bool = False) -> int:
@@ -188,21 +192,9 @@ def run_sweep(
         for scheme in Scheme:
             for cell, idx in ((Cell.CELL1, 0), (Cell.CELL2, 1)):
                 samples = np.array([d[scheme][idx] for d in value_drops])
-                mean = float(samples.mean())
-                if samples.size > 1:
-                    std_err = float(samples.std(ddof=1) / np.sqrt(samples.size))
-                else:
-                    std_err = 0.0
-                results.append(
-                    SweepResult(
-                        scheme=scheme,
-                        sweep_value=float(value),
-                        cell=cell,
-                        mean_sum_rate=mean,
-                        std_err=std_err,
-                        num_drops=cfg.num_drops,
-                    )
-                )
+                std_err = samples.std(ddof=1) / np.sqrt(samples.size) if samples.size > 1 else 0.0
+                results.append(SweepResult(scheme, float(value), cell, float(samples.mean()),
+                                           float(std_err), cfg.num_drops))
     return results
 
 

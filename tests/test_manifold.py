@@ -83,27 +83,32 @@ def test_rcg_config_rejects_bad_values():
 @pytest.mark.parametrize("radius", [1e-3, 0.5, 100.0])
 def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
     # an indefinite Hessian sends every solve to the boundary; a
-    # positive-definite one lets a large radius hold the CG solution inside
+    # positive-definite one lets a large radius hold the CG solution inside.
+    # The solver calls it in real tangent coordinates; a complex tangent
+    # space with a projected Hessian must give the same guarantees
     rng = np.random.default_rng(6)
     M = 8
-    H = random_hermitian(M, rng)
-    if definite:
-        H = H @ H + np.eye(M)
     phi = random_phi(M, rng)
-    g = random_tangent(phi, rng)
-
-    def hess(u):
-        return project_to_tangent(H @ u, phi)
-
-    eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
-    norm = np.linalg.norm(eta)
-    assert norm <= radius * (1 + 1e-12)
-    assert at_boundary == (norm >= radius * (1 - 1e-12))
-    assert at_boundary == (not definite or radius < 100.0)
-    assert tangency_error(eta, phi) < 1e-12
-    np.testing.assert_allclose(h_eta, hess(eta), atol=1e-10)
-    model = float(np.real(np.vdot(g, eta) + 0.5 * np.vdot(eta, h_eta)))
-    assert model < 0.0
+    H_real = rng.standard_normal((M, M))
+    H_real = (H_real + H_real.T) / 2.0
+    H = random_hermitian(M, rng)
+    cases = [
+        (lambda u: H_real @ u, rng.standard_normal(M), H_real, lambda eta: 0.0),
+        (lambda u: project_to_tangent(H @ u, phi), random_tangent(phi, rng), H,
+         lambda eta: tangency_error(eta, phi)),
+    ]
+    for hess, g, H_case, off_tangent in cases:
+        if definite:
+            H_case[...] = H_case @ H_case + np.eye(M)
+        eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+        norm = np.linalg.norm(eta)
+        assert norm <= radius * (1 + 1e-12)
+        assert at_boundary == (norm >= radius * (1 - 1e-12))
+        assert at_boundary == (not definite or radius < 100.0)
+        assert off_tangent(eta) < 1e-12
+        np.testing.assert_allclose(h_eta, hess(eta), atol=1e-10)
+        model = float(np.real(np.vdot(g, eta) + 0.5 * np.vdot(eta, h_eta)))
+        assert model < 0.0
 
 
 # -------------------------------------------------------------------- solver
@@ -204,6 +209,27 @@ def test_rcg_nonfinite_gradient_raises():
             lambda p: np.full(4, np.nan, dtype=complex),
             phi0,
         )
+
+
+def test_rcg_nonfinite_hessian_product_raises():
+    # the gradient is finite at every unit-modulus point, so each accepted
+    # point passes its check, but nan at the off-manifold points where the
+    # Hessian products probe it: the first inner step ends on its curvature
+    # test and the non-finite predicted decrease raises
+    rng = np.random.default_rng(15)
+    M = 16
+    R = random_hermitian(M, rng)
+    calls = []
+
+    def grad(p):
+        calls.append(p)
+        if unit_modulus_error(p) > 1e-9:
+            return np.full(M, np.nan, dtype=complex)
+        return -2.0 * (R @ p)
+
+    with pytest.raises(NumericalError):
+        rcg_minimize(lambda p: -quadform(p, R), grad, random_phi(M, rng))
+    assert 1 < len(calls) < M
 
 
 def test_rcg_constant_objective_stops_on_trust_region():

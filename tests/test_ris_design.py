@@ -179,6 +179,10 @@ def test_design_balanced_rejects_non_hermitian():
         R[entry] = value
         with pytest.raises(HermitianViolationError):
             design_balanced(R, np.eye(3))
+    # the check is scale-free: a Frobenius norm that overflows to inf must
+    # not make the bound vacuous
+    with pytest.raises(HermitianViolationError):
+        design_balanced(np.array([[1e200, 1e200], [0, 1e200]], dtype=complex), np.eye(2))
 
 
 def test_gradient_zero_and_identity():

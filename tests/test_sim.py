@@ -244,11 +244,14 @@ def test_drop_major_sweep_equals_per_cell_runs(sweep, values, crn):
     (SweepParam.TRANSMIT_POWER_DBM, [20.0, 30.0, 40.0], 2),
 ])
 def test_crn_sweep_draws_each_drop_once(monkeypatch, sweep, values, designs_per_drop):
+    import risbal.beamform
     import risbal.channel
+    import risbal.metrics
     import risbal.ris_design
     import risbal.sim
 
-    calls = {"gen_channel_set": 0, "effective_channels": 0, "design_balanced": 0, "run_drop": 0}
+    calls = {"gen_channel_set": 0, "effective_channels": 0, "design_balanced": 0, "run_drop": 0,
+             "slnr_beamformer": 0, "evaluate": 0}
     for name in calls:
         original = getattr(risbal.sim, name)
 
@@ -256,17 +259,23 @@ def test_crn_sweep_draws_each_drop_once(monkeypatch, sweep, values, designs_per_
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for mod in (risbal.channel, risbal.ris_design, risbal.sim):
+        for mod in (risbal.beamform, risbal.channel, risbal.metrics, risbal.ris_design, risbal.sim):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     drops = 3
     run_sweep(small_cfg(num_drops=drops), sweep, values, crn=True)
+    # per (drop, power): F2 and the ConvRis and RandRis precoders, and the
+    # rates of both cells under ConvRis and RandRis plus NoRis' cell 2; per
+    # cell: the Proposed precoder and its two rates
+    powers = len(values) if sweep is SweepParam.TRANSMIT_POWER_DBM else 1
     assert calls == {
         "gen_channel_set": drops,
         "effective_channels": drops,
         "design_balanced": drops * designs_per_drop,
         # one call per (value, drop) cell, which a tracer counts on
         "run_drop": len(values) * drops,
+        "slnr_beamformer": drops * (3 * powers + len(values)),
+        "evaluate": drops * (5 * powers + 2 * len(values)),
     }
 
 
