@@ -8,7 +8,11 @@ the fraction kappa/(kappa+1) of the expected power.
 
 Generation is pure given an explicit numpy Generator; each link family draws
 from its own child stream, so e.g. the direct-link draws do not depend on
-the reflecting-surface size.
+the reflecting-surface size. Within a stream the scalars are drawn path by
+path (rx offsets, tx offsets, two gain normals), user by user; the arrays are
+then built in bulk: upa_steering takes angle arrays, so one call gives every
+path's response on one side of a link (of every user of a family), and a
+link is one product Rx diag(c) Tx^H of its path responses and weights.
 """
 
 from __future__ import annotations
@@ -78,17 +82,20 @@ def los_angles(src: Position3D, dst: Position3D) -> tuple[float, float]:
     return az, el
 
 
-def upa_steering(az: float, el: float, geom: ArrayGeometry) -> np.ndarray:
+def upa_steering(az: float | np.ndarray, el: float | np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """Planar-array response, row-major over (vertical p, horizontal q).
 
-    entry(p, q) = exp(j 2 pi spacing (p sin(el) + q cos(el) sin(az)))
+    entry(p, q) = exp(j 2 pi spacing (p sin(el) + q cos(el) sin(az))), formed
+    as the outer product of the per-axis factors. az and el broadcast to a
+    shape S (scalars: S = ()); the result has shape S + (size,).
     """
-    p = np.arange(geom.vertical_count)[:, None]
-    q = np.arange(geom.horizontal_count)[None, :]
-    phase = 2.0 * np.pi * geom.element_spacing * (
-        p * np.sin(el) + q * np.cos(el) * np.sin(az)
-    )
-    return np.exp(1j * phase).ravel()
+    az, el = np.broadcast_arrays(np.asarray(az, dtype=float), np.asarray(el, dtype=float))
+    k = 2.0 * np.pi * geom.element_spacing
+    p = k * np.arange(geom.vertical_count)
+    q = k * np.arange(geom.horizontal_count)
+    vertical = np.exp(1j * (np.sin(el)[..., None] * p))
+    horizontal = np.exp(1j * ((np.cos(el) * np.sin(az))[..., None] * q))
+    return (vertical[..., :, None] * horizontal[..., None, :]).reshape(az.shape + (geom.size,))
 
 
 def path_loss_linear(
@@ -119,6 +126,43 @@ def path_loss_linear(
     return gain
 
 
+def _draw_paths(
+    rng: np.random.Generator, params: RicianLinkParams, sides: int, links: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scattered-path draws of `links` links, link by link and path by path:
+    angle offsets (links, L, 2 sides) as (az, el) pairs, the rx pair first,
+    then the complex gain (links, L) from two standard normals."""
+    spread = np.deg2rad(params.angular_spread_deg)
+    draws = np.empty((links, params.nlos_path_count, 2 * sides + 2))
+    for path in draws.reshape(-1, 2 * sides + 2):
+        path[:-2] = rng.uniform(-spread, spread, size=2 * sides)
+        path[-2:] = rng.standard_normal(2)
+    return draws[..., :-2], (draws[..., -2] + 1j * draws[..., -1]) / np.sqrt(2.0)
+
+
+def _path_weights(params: RicianLinkParams, pl_gain, gains: np.ndarray) -> np.ndarray:
+    """Weights (..., L + 1) of the direct path and the scattered paths of
+    gains (..., L), scaled by sqrt(pl_gain) (a scalar or of shape ...)."""
+    L = params.nlos_path_count
+    kappa = 10.0 ** (params.rician_factor_db / 10.0)
+    c = np.empty(gains.shape[:-1] + (L + 1,), dtype=np.complex128)
+    c[..., 0] = np.sqrt(kappa / (kappa + 1.0)) if L else 1.0
+    c[..., 1:] = np.sqrt(1.0 / (kappa + 1.0)) * gains / np.sqrt(L)  # empty if L = 0
+    return np.sqrt(np.asarray(pl_gain, dtype=float))[..., None] * c
+
+
+def _path_responses(az, el, offsets: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    """Responses (..., L + 1, size) of the direct path at (az, el), of shape
+    ..., and of the scattered paths at offsets (..., L, 2) from it."""
+    az = np.asarray(az, dtype=float)[..., None]
+    el = np.asarray(el, dtype=float)[..., None]
+    return upa_steering(
+        np.concatenate([az, az + offsets[..., 0]], axis=-1),
+        np.concatenate([el, el + offsets[..., 1]], axis=-1),
+        geom,
+    )
+
+
 def gen_rician_matrix(
     tx_spec: SteeringSpec,
     rx_spec: SteeringSpec | None,
@@ -136,37 +180,19 @@ def gen_rician_matrix(
     steering vectors are recomputed from angles perturbed uniformly within
     +-angular_spread_deg of the direct-path angles; a single-antenna side
     reuses its response. With L = 0 only the direct term is drawn, at unit
-    total power.
+    total power. Per path the stream gives the rx offsets, the tx offsets,
+    then g_l's real and imaginary parts; H is formed as Rx diag(c) Tx^H.
     """
     if pl_gain <= 0:
         raise ValueError("path-loss gain must be positive")
-    tx = upa_steering(tx_spec.azimuth, tx_spec.elevation, tx_spec.geom)
+    offsets, gains = _draw_paths(rng, params, 1 if rx_spec is None else 2, 1)
+    offsets, gains = offsets[0], gains[0]
+    c = _path_weights(params, pl_gain, gains)
+    tx = _path_responses(tx_spec.azimuth, tx_spec.elevation, offsets[:, -2:], tx_spec.geom)
     if rx_spec is None:
-        rx = np.ones(1, dtype=np.complex128)
-    else:
-        rx = upa_steering(rx_spec.azimuth, rx_spec.elevation, rx_spec.geom)
-
-    los = np.outer(rx, np.conj(tx))
-    L = params.nlos_path_count
-    if L == 0:
-        return np.sqrt(pl_gain) * los
-
-    spread = np.deg2rad(params.angular_spread_deg)
-    scattered = np.zeros(los.shape, dtype=np.complex128)
-    for _ in range(L):
-        if rx_spec is not None:
-            daz, del_ = rng.uniform(-spread, spread, size=2)
-            rx_l = upa_steering(rx_spec.azimuth + daz, rx_spec.elevation + del_, rx_spec.geom)
-        else:
-            rx_l = rx
-        daz, del_ = rng.uniform(-spread, spread, size=2)
-        tx_l = upa_steering(tx_spec.azimuth + daz, tx_spec.elevation + del_, tx_spec.geom)
-        gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-        scattered += gain * np.outer(rx_l, np.conj(tx_l))
-
-    kappa = 10.0 ** (params.rician_factor_db / 10.0)
-    H = np.sqrt(kappa / (kappa + 1.0)) * los + np.sqrt(1.0 / (kappa + 1.0)) * scattered / np.sqrt(L)
-    return np.sqrt(pl_gain) * H
+        return (c @ tx.conj())[None, :]
+    rx = _path_responses(rx_spec.azimuth, rx_spec.elevation, offsets[:, :2], rx_spec.geom)
+    return (rx.T * c) @ tx.conj()
 
 
 def _draw_disc_positions(
@@ -221,15 +247,18 @@ def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> Chann
         src: Position3D, geom: ArrayGeometry, link: RicianLinkParams,
         users: list[Position3D], stream,
     ) -> np.ndarray:
-        """Channel vectors h from src to each single-antenna user, one per row."""
-        hs = []
+        """Channel vectors h from src to each single-antenna user, one per row:
+        the users' draws in turn, then one steering call for the family."""
+        angles, pl = [], []
         for user in users:
-            az, el = los_angles(src, user)
-            pl = path_loss_linear(_distance(src, user), link.path_loss_exponent, c0, d0)
-            # physical row is h^H (1, size); store the column vector h
-            row = gen_rician_matrix(SteeringSpec(geom, az, el), None, link, pl, stream)
-            hs.append(np.conj(row[0]))
-        return np.stack(hs)
+            angles.append(los_angles(src, user))
+            pl.append(path_loss_linear(_distance(src, user), link.path_loss_exponent, c0, d0))
+        offsets, gains = _draw_paths(stream, link, 1, len(users))
+        c = _path_weights(link, pl, gains)
+        az, el = np.array(angles).T
+        tx = _path_responses(az, el, offsets, geom)
+        # physical row is h^H = c Tx^H (1, size); store the column vector h
+        return (c.conj()[:, None, :] @ tx)[:, 0, :]
 
     return ChannelSet(
         G1=bs_to_ris(scenario.bs1_pos, scenario.bs1_array, s_g1),

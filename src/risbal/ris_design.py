@@ -13,7 +13,8 @@ whose factor B_i stacks the columns diag(conj h_k) g over a basis g of G_i's
 range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far fewer columns
 than M. effective_channels gives, once per drop, an orthonormal basis U of
 their joint range and both totals in it, K_i = U^H At_i U, with
-At_i = U K_i U^H; this core is the only form in which the totals are built.
+At_i = U K_i U^H, from a Householder QR [B_1 B_2] = U T, so K_i = T_i T_i^H;
+this core is the only form in which the totals are built.
 Since U^H U = I, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam) is the
 core U^H R U of R = U (U^H R U) U^H. The designs take that r x r core with
 its basis U and never form R: the warm start is an r x r eigensolve, and
@@ -68,28 +69,34 @@ def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np
     an orthonormal basis U (M, r) of the totals' joint range and
     K_i = U^H At_i U (r, r), exactly Hermitian, with At_i = U K_i U^H.
 
-    U is the leading r left singular vectors of [B_1 B_2], r its numerical
-    rank by np.linalg.matrix_rank's convention (singular values above
-    s_max * max(shape) * eps); an SVD, unlike an eigensolve of the Gram
-    matrix [B_1 B_2]^H [B_1 B_2], keeps U orthonormal to rounding down to the
-    smallest kept direction. With B = U S V^H, U^H B_i is a block of S V^H.
-    Gains the numbers cannot carry come out as norms balance_matrix rejects:
-    an all-zero G_i adds no columns, so K_i = 0 (r = 0 when both are), and
-    products that overflow give inf or nan entries, without a warning.
+    A reduced Householder QR [B_1 B_2] = Q T gives Q orthonormal to rounding
+    whatever the rank, and B_i B_i^H = Q T_i T_i^H Q^H for T_i the columns of
+    T that belong to cell i. r is the numerical rank by
+    np.linalg.matrix_rank's convention (singular values above
+    s_max * max(shape) * eps), tested on T, whose singular values are
+    [B_1 B_2]'s. At full rank U = Q and K_i = T_i T_i^H; a rank-deficient T
+    is first rotated onto its leading r singular directions, T = W S V^H
+    giving U = Q W_r and T_r = S_r V_r^H. Gains the numbers cannot carry come
+    out as norms balance_matrix rejects: an all-zero G_i adds no columns, so
+    K_i = 0 (r = 0 when both are), and products that overflow give inf or nan
+    entries, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             B1 = _gram_factor(channels.h_r1, channels.G1)
             B = np.hstack([B1, _gram_factor(channels.h_r2, channels.G2)])
-            U, s, Vh = np.linalg.svd(B, full_matrices=False)
+            Q, T = np.linalg.qr(B)
+            s = np.linalg.svd(T, compute_uv=False)
+            r = _numerical_rank(s, B.shape)
+            if r < len(s):
+                W, s, Vh = np.linalg.svd(T, full_matrices=False)
+                Q, T = Q @ W[:, :r], s[:r, None] * Vh[:r]
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular value decomposition failed: {exc}") from exc
-        r = _numerical_rank(s, B.shape)
-        C = s[:r, None] * Vh[:r]
-        C1, C2 = C[:, : B1.shape[1]], C[:, B1.shape[1]:]
-        K1 = C1 @ C1.conj().T
-        K2 = C2 @ C2.conj().T
-        return U[:, :r], (K1 + K1.conj().T) / 2.0, (K2 + K2.conj().T) / 2.0
+            raise NumericalError(f"Gram-core factorization failed: {exc}") from exc
+        T1, T2 = T[:, : B1.shape[1]], T[:, B1.shape[1]:]
+        K1 = T1 @ T1.conj().T
+        K2 = T2 @ T2.conj().T
+        return Q, (K1 + K1.conj().T) / 2.0, (K2 + K2.conj().T) / 2.0
 
 
 def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:

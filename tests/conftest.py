@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from risbal import ArrayGeometry, ScenarioConfig, effective_channels
+from risbal import (
+    ArrayGeometry,
+    ChannelSet,
+    ScenarioConfig,
+    SteeringSpec,
+    effective_channels,
+    los_angles,
+    path_loss_linear,
+    upa_steering,
+)
+from risbal.channel import _distance, _draw_disc_positions
 
 
 def random_hermitian(M, rng, scale=1.0):
@@ -27,6 +37,80 @@ def quadform(phi, R):
 def cascade(h_r, G):
     """Cascaded matrix diag(h_r^H) G, i.e. A[m, n] = conj(h_r[m]) G[m, n]."""
     return np.conj(h_r)[:, None] * G
+
+
+def rician_matrix_loop(tx_spec, rx_spec, params, pl_gain, rng):
+    """Reference gen_rician_matrix: each scattered path drawn in turn (rx
+    offsets, tx offsets, two normals) and its rank-1 term summed into H."""
+    tx = upa_steering(tx_spec.azimuth, tx_spec.elevation, tx_spec.geom)
+    if rx_spec is None:
+        rx = np.ones(1, dtype=np.complex128)
+    else:
+        rx = upa_steering(rx_spec.azimuth, rx_spec.elevation, rx_spec.geom)
+
+    los = np.outer(rx, np.conj(tx))
+    L = params.nlos_path_count
+    if L == 0:
+        return np.sqrt(pl_gain) * los
+
+    spread = np.deg2rad(params.angular_spread_deg)
+    scattered = np.zeros(los.shape, dtype=np.complex128)
+    for _ in range(L):
+        if rx_spec is not None:
+            daz, del_ = rng.uniform(-spread, spread, size=2)
+            rx_l = upa_steering(rx_spec.azimuth + daz, rx_spec.elevation + del_, rx_spec.geom)
+        else:
+            rx_l = rx
+        daz, del_ = rng.uniform(-spread, spread, size=2)
+        tx_l = upa_steering(tx_spec.azimuth + daz, tx_spec.elevation + del_, tx_spec.geom)
+        gain = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
+        scattered += gain * np.outer(rx_l, np.conj(tx_l))
+
+    kappa = 10.0 ** (params.rician_factor_db / 10.0)
+    H = np.sqrt(kappa / (kappa + 1.0)) * los + np.sqrt(1.0 / (kappa + 1.0)) * scattered / np.sqrt(L)
+    return np.sqrt(pl_gain) * H
+
+
+def channel_set_loop(scenario, streams):
+    """Reference gen_channel_set on its seven child streams (positions of
+    cells 1 and 2, G1, G2, h_r1, h_r2, h_d2), link by link and user by user
+    with rician_matrix_loop."""
+    s_pos1, s_pos2, s_g1, s_g2, s_hr1, s_hr2, s_hd2 = streams
+    K = scenario.users_per_cell
+    users1 = _draw_disc_positions(
+        scenario.cell1_center, scenario.cell1_radius, K, scenario.user_height, s_pos1
+    )
+    users2 = _draw_disc_positions(
+        scenario.cell2_center, scenario.cell2_radius, K, scenario.user_height, s_pos2
+    )
+    ris, ris_geom = scenario.ris_pos, scenario.ris_array
+
+    def pl(a, b, link):
+        return path_loss_linear(_distance(a, b), link.path_loss_exponent,
+                                scenario.pathloss_ref_db, scenario.pathloss_ref_distance_m)
+
+    def bs_to_ris(bs_pos, bs_geom, stream):
+        link = scenario.bs_ris_link
+        return rician_matrix_loop(SteeringSpec(bs_geom, *los_angles(bs_pos, ris)),
+                                  SteeringSpec(ris_geom, *los_angles(ris, bs_pos)),
+                                  link, pl(bs_pos, ris, link), stream)
+
+    def to_users(src, geom, link, users, stream):
+        return np.stack([
+            np.conj(rician_matrix_loop(SteeringSpec(geom, *los_angles(src, user)), None,
+                                       link, pl(src, user, link), stream)[0])
+            for user in users
+        ])
+
+    return ChannelSet(
+        G1=bs_to_ris(scenario.bs1_pos, scenario.bs1_array, s_g1),
+        G2=bs_to_ris(scenario.bs2_pos, scenario.bs2_array, s_g2),
+        h_r1=to_users(ris, ris_geom, scenario.ris_user_link, users1, s_hr1),
+        h_r2=to_users(ris, ris_geom, scenario.ris_user_link, users2, s_hr2),
+        h_d2=to_users(scenario.bs2_pos, scenario.bs2_array, scenario.direct_link, users2, s_hd2),
+        noise_var=scenario.noise_var_w,
+        theta=scenario.theta_rad,
+    )
 
 
 def total_gain_matrix(As):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import channel_set_loop, rician_matrix_loop
 
 from risbal import (
     ArrayGeometry,
@@ -72,6 +73,19 @@ def test_upa_unit_modulus():
     for _ in range(20):
         v = upa_steering(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2), geom)
         assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
+
+
+def test_upa_broadcasts_over_angle_arrays():
+    rng = np.random.default_rng(7)
+    geom = ArrayGeometry(3, 5, 0.5)
+    az = rng.uniform(-np.pi, np.pi, size=(2, 3))
+    el = rng.uniform(-np.pi / 2, np.pi / 2, size=(2, 3))
+    got = upa_steering(az, el, geom)
+    assert got.shape == (2, 3, geom.size)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_allclose(got[i, j], upa_steering(az[i, j], el[i, j], geom),
+                                       rtol=0, atol=1e-14)
 
 
 # ----------------------------------------------------------------- path loss
@@ -172,6 +186,83 @@ def test_rician_determinism():
         rng = np.random.default_rng(99)
         draws.append(gen_rician_matrix(tx_spec, rx_spec, params, 1.0, rng))
     np.testing.assert_array_equal(draws[0], draws[1])
+
+
+def _assert_close(got, ref, rel=1e-13):
+    assert got.shape == ref.shape
+    assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "rx_geom, params",
+    [
+        (None, RicianLinkParams(2.4, 5.0, 0)),
+        (ArrayGeometry(2, 3), RicianLinkParams(2.4, 5.0, 0)),
+        (None, RicianLinkParams(4.2, 3.0, 8)),
+        (ArrayGeometry(4, 8), RicianLinkParams(2.5, 5.0, 8, 25.0)),
+    ],
+    ids=["L0-single", "L0-planar", "single", "planar"],
+)
+def test_rician_matches_path_by_path_loop(rx_geom, params):
+    # the same draws in the same order as summing one path at a time: equal
+    # matrices to rounding and the stream left in the same state
+    tx_spec = SteeringSpec(ArrayGeometry(4, 4), 0.4, -0.3)
+    rx_spec = None if rx_geom is None else SteeringSpec(rx_geom, -1.1, 0.2)
+    for seed in (11, 12):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        H = gen_rician_matrix(tx_spec, rx_spec, params, 3e-7, rng)
+        _assert_close(H, rician_matrix_loop(tx_spec, rx_spec, params, 3e-7, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _SpawnRecorder:
+    """Stands in for the drop's Generator, keeping the child streams that
+    gen_channel_set spawns from it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def spawn(self, n):
+        self.children = self.rng.spawn(n)
+        return self.children
+
+
+@pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)],
+                         ids=["M128", "M512"])
+def test_channel_set_matches_user_by_user_loop(ris_array):
+    cfg = ScenarioConfig(ris_array=ris_array)
+    for seed in (21, 22):
+        recorder = _SpawnRecorder(seed)
+        got = gen_channel_set(cfg, recorder)
+        ref_streams = np.random.default_rng(seed).spawn(7)
+        ref = channel_set_loop(cfg, ref_streams)
+        for name in ("G1", "G2", "h_r1", "h_r2", "h_d2"):
+            _assert_close(getattr(got, name), getattr(ref, name))
+        assert [s.bit_generator.state for s in recorder.children] == \
+            [s.bit_generator.state for s in ref_streams]
+
+
+def test_channel_set_steering_calls_do_not_grow_with_users_or_paths(monkeypatch):
+    # a family of users, like a link's paths, takes one broadcast steering call
+    import risbal.channel
+
+    calls = []
+    original = risbal.channel.upa_steering
+
+    def counted(az, el, geom):
+        calls.append(1)
+        return original(az, el, geom)
+
+    monkeypatch.setattr(risbal.channel, "upa_steering", counted)
+    counts = set()
+    for users, paths in ((1, 0), (2, 4), (8, 16)):
+        link = RicianLinkParams(2.4, 5.0, paths)
+        cfg = ScenarioConfig(users_per_cell=users, direct_link=link, ris_user_link=link,
+                             bs_ris_link=link)
+        calls.clear()
+        gen_channel_set(cfg, np.random.default_rng(3))
+        counts.add(len(calls))
+    assert len(counts) == 1, counts
 
 
 # --------------------------------------------------------------- channel set

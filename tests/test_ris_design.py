@@ -414,6 +414,31 @@ def test_design_balanced_factor_form_matches_dense_solve(ris_array):
             assert factor.converged_by is ConvergedBy.GRAD_NORM
 
 
+@pytest.mark.parametrize("ris_array, same_cells", [(ArrayGeometry(4, 4), False),
+                                                   (ArrayGeometry(8, 16), True)],
+                         ids=["surface-narrower-than-B", "rank-deficient-B"])
+def test_gram_core_basis_has_the_numerical_rank(ris_array, same_cells):
+    # M = 16 < 72 columns of [B1 B2], and identical cells (rank half the
+    # columns): U keeps exactly matrix_rank([B1 B2]) orthonormal columns and
+    # still reproduces the cascade totals
+    from risbal.ris_design import _gram_factor
+
+    cs = _channels(seed=6, ris_array=ris_array)
+    if same_cells:
+        cs = replace(cs, G2=cs.G1, h_r2=cs.h_r1)
+    B = np.hstack([_gram_factor(cs.h_r1, cs.G1), _gram_factor(cs.h_r2, cs.G2)])
+    U, K1, K2 = effective_channels(cs)
+    M, r = U.shape
+    assert M == ris_array.size
+    assert r == np.linalg.matrix_rank(B) < B.shape[1]
+    assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
+    for K, (h_r, G) in zip((K1, K2), ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))):
+        ref = total_gain_matrix([cascade(h, G) for h in h_r])
+        assert K.shape == (r, r)
+        assert np.array_equal(K, K.conj().T)
+        assert np.linalg.norm(U @ K @ U.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_numerical_rank_near_overflow_and_empty():
     # singular values near the float maximum keep their rank (a tolerance
     # scaled by the largest value first would overflow to inf and drop them
