@@ -8,11 +8,11 @@ the fraction kappa/(kappa+1) of the expected power.
 
 Generation is pure given an explicit numpy Generator; each link family draws
 from its own child stream, so e.g. the direct-link draws do not depend on
-the reflecting-surface size. Within a stream the scalars are drawn path by
-path (rx offsets, tx offsets, two gain normals), user by user; the arrays are
-then built in bulk: upa_steering takes angle arrays, so one call gives every
-path's response on one side of a link (of every user of a family), and a
-link is one product Rx diag(c) Tx^H of its path responses and weights.
+the reflecting-surface size. One builder, gen_rician_matrix, draws every
+family as a batch of links: G1 and G2 as batches of one, the users of a
+family as single-antenna links. It reads its stream link by link and path by
+path (rx offsets, tx offsets, two gain normals), then forms each side's path
+responses in one upa_steering call and every link as Rx diag(c) Tx^H.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteeringSpec:
-    """Array geometry plus direct-path angles at one end of a link."""
+    """Array geometry plus direct-path angles at one end of a link, or of a
+    batch of links (angle arrays of the link shape)."""
 
     geom: ArrayGeometry
-    azimuth: float
-    elevation: float
+    azimuth: float | np.ndarray
+    elevation: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,73 +127,62 @@ def path_loss_linear(
     return gain
 
 
-def _draw_paths(
-    rng: np.random.Generator, params: RicianLinkParams, sides: int, links: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scattered-path draws of `links` links, link by link and path by path:
-    angle offsets (links, L, 2 sides) as (az, el) pairs, the rx pair first,
-    then the complex gain (links, L) from two standard normals."""
-    spread = np.deg2rad(params.angular_spread_deg)
-    draws = np.empty((links, params.nlos_path_count, 2 * sides + 2))
-    for path in draws.reshape(-1, 2 * sides + 2):
-        path[:-2] = rng.uniform(-spread, spread, size=2 * sides)
-        path[-2:] = rng.standard_normal(2)
-    return draws[..., :-2], (draws[..., -2] + 1j * draws[..., -1]) / np.sqrt(2.0)
-
-
-def _path_weights(params: RicianLinkParams, pl_gain, gains: np.ndarray) -> np.ndarray:
-    """Weights (..., L + 1) of the direct path and the scattered paths of
-    gains (..., L), scaled by sqrt(pl_gain) (a scalar or of shape ...)."""
-    L = params.nlos_path_count
-    kappa = 10.0 ** (params.rician_factor_db / 10.0)
-    c = np.empty(gains.shape[:-1] + (L + 1,), dtype=np.complex128)
-    c[..., 0] = np.sqrt(kappa / (kappa + 1.0)) if L else 1.0
-    c[..., 1:] = np.sqrt(1.0 / (kappa + 1.0)) * gains / np.sqrt(L)  # empty if L = 0
-    return np.sqrt(np.asarray(pl_gain, dtype=float))[..., None] * c
-
-
-def _path_responses(az, el, offsets: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
-    """Responses (..., L + 1, size) of the direct path at (az, el), of shape
-    ..., and of the scattered paths at offsets (..., L, 2) from it."""
-    az = np.asarray(az, dtype=float)[..., None]
-    el = np.asarray(el, dtype=float)[..., None]
-    return upa_steering(
-        np.concatenate([az, az + offsets[..., 0]], axis=-1),
-        np.concatenate([el, el + offsets[..., 1]], axis=-1),
-        geom,
-    )
-
-
 def gen_rician_matrix(
     tx_spec: SteeringSpec,
     rx_spec: SteeringSpec | None,
     params: RicianLinkParams,
-    pl_gain: float,
+    pl_gain: float | np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw one (rx size, tx size) Rician channel matrix.
+    """Draw a batch of Rician channel matrices, shape S + (rx size, tx size).
 
     H = sqrt(pl) * ( sqrt(k/(k+1)) rx tx^H
                      + sqrt(1/(k+1)) (1/sqrt(L)) sum_l g_l rx_l tx_l^H )
 
-    rx and tx are the array responses at the specs' direct-path angles;
-    rx_spec=None is a single-antenna receiver with response 1. Scattered-path
-    steering vectors are recomputed from angles perturbed uniformly within
-    +-angular_spread_deg of the direct-path angles; a single-antenna side
-    reuses its response. With L = 0 only the direct term is drawn, at unit
-    total power. Per path the stream gives the rx offsets, the tx offsets,
-    then g_l's real and imaginary parts; H is formed as Rx diag(c) Tx^H.
+    The link shape S is the shape of pl_gain (a scalar: one link, S = ()),
+    and the specs' angles have shape S. rx and tx are the array responses at
+    the specs' direct-path angles; rx_spec=None is a single-antenna receiver
+    with response 1. Scattered-path steering vectors are recomputed from
+    angles perturbed uniformly within +-angular_spread_deg of the direct-path
+    angles; a single-antenna side reuses its response. With L = 0 only the
+    direct term is drawn, at unit total power. The stream is read link by
+    link and, per path, gives the rx offsets, the tx offsets, then g_l's real
+    and imaginary parts; each side's responses come from one steering call
+    and H is formed as Rx diag(c) Tx^H.
     """
-    if pl_gain <= 0:
+    pl_gain = np.asarray(pl_gain, dtype=float)
+    if not (pl_gain > 0).all():
         raise ValueError("path-loss gain must be positive")
-    offsets, gains = _draw_paths(rng, params, 1 if rx_spec is None else 2, 1)
-    offsets, gains = offsets[0], gains[0]
-    c = _path_weights(params, pl_gain, gains)
-    tx = _path_responses(tx_spec.azimuth, tx_spec.elevation, offsets[:, -2:], tx_spec.geom)
+    L = params.nlos_path_count
+    width = 4 if rx_spec is None else 6  # per path: (rx az, el,) tx az, el, two normals
+    draws = np.empty(pl_gain.shape + (L, width))
+    for path in draws.reshape(-1, width):
+        rng.random(out=path[:-2])
+        rng.standard_normal(out=path[-2:])
+    # the offsets rng.uniform(-spread, spread) would give: low + (high - low) u
+    spread = np.deg2rad(params.angular_spread_deg)
+    offsets = -spread + (2.0 * spread) * draws[..., :-2]
+
+    kappa = 10.0 ** (params.rician_factor_db / 10.0)
+    gains = (draws[..., -2] + 1j * draws[..., -1]) / np.sqrt(2.0)
+    c = np.empty(pl_gain.shape + (L + 1,), dtype=np.complex128)
+    c[..., 0] = np.sqrt(kappa / (kappa + 1.0)) if L else 1.0
+    c[..., 1:] = np.sqrt(1.0 / (kappa + 1.0)) * gains / np.sqrt(L)  # empty if L = 0
+    c *= np.sqrt(pl_gain)[..., None]
+
+    def responses(spec: SteeringSpec, offsets: np.ndarray) -> np.ndarray:
+        # S + (L + 1, size): the direct path, then the paths at (az, el) offsets S + (L, 2)
+        az = np.asarray(spec.azimuth, dtype=float)[..., None]
+        el = np.asarray(spec.elevation, dtype=float)[..., None]
+        return upa_steering(np.concatenate([az, az + offsets[..., 0]], axis=-1),
+                            np.concatenate([el, el + offsets[..., 1]], axis=-1), spec.geom)
+
+    tx = responses(tx_spec, offsets[..., -2:])
     if rx_spec is None:
-        return (c @ tx.conj())[None, :]
-    rx = _path_responses(rx_spec.azimuth, rx_spec.elevation, offsets[:, :2], rx_spec.geom)
-    return (rx.T * c) @ tx.conj()
+        # as conj(conj(c) Tx), so a user's vector conj(H) is conj(c) Tx to the bit
+        return (c.conj()[..., None, :] @ tx).conj()
+    rx = responses(rx_spec, offsets[..., :2])
+    return (np.swapaxes(rx, -1, -2) * c[..., None, :]) @ tx.conj()
 
 
 def _draw_disc_positions(
@@ -226,46 +216,31 @@ def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> Chann
         scenario.cell2_center, scenario.cell2_radius, K, scenario.user_height, s_pos2
     )
 
-    c0 = scenario.pathloss_ref_db
-    d0 = scenario.pathloss_ref_distance_m
-    ris = scenario.ris_pos
-    ris_geom = scenario.ris_array
+    c0, d0 = scenario.pathloss_ref_db, scenario.pathloss_ref_distance_m
+    ris, ris_geom, bs_ris = scenario.ris_pos, scenario.ris_array, scenario.bs_ris_link
 
-    def bs_to_ris(bs_pos: Position3D, bs_geom: ArrayGeometry, stream) -> np.ndarray:
-        az_r, el_r = los_angles(ris, bs_pos)   # arrival side at the surface
-        az_b, el_b = los_angles(bs_pos, ris)   # departure side at the BS
-        pl = path_loss_linear(_distance(bs_pos, ris), scenario.bs_ris_link.path_loss_exponent, c0, d0)
-        return gen_rician_matrix(
-            SteeringSpec(bs_geom, az_b, el_b),
-            SteeringSpec(ris_geom, az_r, el_r),
-            scenario.bs_ris_link,
-            pl,
-            stream,
-        )
-
-    def to_users(
-        src: Position3D, geom: ArrayGeometry, link: RicianLinkParams,
-        users: list[Position3D], stream,
+    def links(
+        src: Position3D, src_geom: ArrayGeometry, dsts: list[Position3D],
+        dst_geom: ArrayGeometry | None, link: RicianLinkParams, stream,
     ) -> np.ndarray:
-        """Channel vectors h from src to each single-antenna user, one per row:
-        the users' draws in turn, then one steering call for the family."""
-        angles, pl = [], []
-        for user in users:
-            angles.append(los_angles(src, user))
-            pl.append(path_loss_linear(_distance(src, user), link.path_loss_exponent, c0, d0))
-        offsets, gains = _draw_paths(stream, link, 1, len(users))
-        c = _path_weights(link, pl, gains)
-        az, el = np.array(angles).T
-        tx = _path_responses(az, el, offsets, geom)
-        # physical row is h^H = c Tx^H (1, size); store the column vector h
-        return (c.conj()[:, None, :] @ tx)[:, 0, :]
+        """Channels (len(dsts), rx size, tx size) from src to each of dsts;
+        dst_geom=None is a single-antenna receiver."""
+        pl = [path_loss_linear(_distance(src, d), link.path_loss_exponent, c0, d0) for d in dsts]
+        tx_spec = SteeringSpec(src_geom, *np.array([los_angles(src, d) for d in dsts]).T)
+        rx_spec = None if dst_geom is None else SteeringSpec(
+            dst_geom, *np.array([los_angles(d, src) for d in dsts]).T
+        )
+        return gen_rician_matrix(tx_spec, rx_spec, link, pl, stream)
 
+    # a user's row h^H = c Tx^H is (1, size); store the column vector h
     return ChannelSet(
-        G1=bs_to_ris(scenario.bs1_pos, scenario.bs1_array, s_g1),
-        G2=bs_to_ris(scenario.bs2_pos, scenario.bs2_array, s_g2),
-        h_r1=to_users(ris, ris_geom, scenario.ris_user_link, users1, s_hr1),
-        h_r2=to_users(ris, ris_geom, scenario.ris_user_link, users2, s_hr2),
-        h_d2=to_users(scenario.bs2_pos, scenario.bs2_array, scenario.direct_link, users2, s_hd2),
+        G1=links(scenario.bs1_pos, scenario.bs1_array, [ris], ris_geom, bs_ris, s_g1)[0],
+        G2=links(scenario.bs2_pos, scenario.bs2_array, [ris], ris_geom, bs_ris, s_g2)[0],
+        h_r1=links(ris, ris_geom, users1, None, scenario.ris_user_link, s_hr1)[:, 0, :].conj(),
+        h_r2=links(ris, ris_geom, users2, None, scenario.ris_user_link, s_hr2)[:, 0, :].conj(),
+        h_d2=links(
+            scenario.bs2_pos, scenario.bs2_array, users2, None, scenario.direct_link, s_hd2
+        )[:, 0, :].conj(),
         noise_var=scenario.noise_var_w,
         theta=scenario.theta_rad,
     )

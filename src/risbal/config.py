@@ -17,7 +17,7 @@ field names and unknown keys are rejected. Composite values:
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass
 
 from .errors import ConfigError
 
@@ -242,9 +242,8 @@ _PARSERS = {
 }
 
 
-def parse_config_text(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Build a ScenarioConfig from flat key=value text, starting from ``base``."""
-    cfg = base if base is not None else ScenarioConfig()
+def parse_config_text(text: str) -> ScenarioConfig:
+    """Build a ScenarioConfig from flat key=value text over the defaults."""
     known = {f.name for f in fields(ScenarioConfig)}
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -260,14 +259,14 @@ def parse_config_text(text: str, base: ScenarioConfig | None = None) -> Scenario
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         parser = _PARSERS.get(key)
         overrides[key] = parser(value, key) if parser else _parse_float(value, key)
-    return replace(cfg, **overrides)
+    return ScenarioConfig(**overrides)
 
 
-def load_config(path: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
+def load_config(path: str) -> ScenarioConfig:
     """Read and parse a scenario config file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    return parse_config_text(text, base)
+    return parse_config_text(text)

@@ -182,7 +182,7 @@ def rcg_minimize(
     phi = np.asarray(phi0, dtype=np.complex128).copy()
     if phi.ndim != 1 or phi.size == 0:
         raise DimensionError("phi0 must be a nonempty 1-D complex vector")
-    if unit_modulus_error(phi) > 1e-9:
+    if not unit_modulus_error(phi) <= 1e-9:  # also rejects NaN entries
         raise ValueError("phi0 must have unit-modulus entries")
     M = phi.size
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * M

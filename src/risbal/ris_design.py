@@ -101,8 +101,8 @@ def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np
 
 def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
     """R = At1/||At1||_F - lam * At2/||At2||_F, Hermitian when both totals are."""
-    if lam < 0:
-        raise ValueError("balancing weight must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"balancing weight {lam!r} must be nonnegative and finite")
     # finite entries can have a norm that overflows; the check below reports it
     with np.errstate(over="ignore"):
         n1 = np.linalg.norm(At1)

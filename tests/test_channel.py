@@ -194,24 +194,38 @@ def _assert_close(got, ref, rel=1e-13):
 
 
 @pytest.mark.parametrize(
-    "rx_geom, params",
+    "rx_geom, params, batched",
     [
-        (None, RicianLinkParams(2.4, 5.0, 0)),
-        (ArrayGeometry(2, 3), RicianLinkParams(2.4, 5.0, 0)),
-        (None, RicianLinkParams(4.2, 3.0, 8)),
-        (ArrayGeometry(4, 8), RicianLinkParams(2.5, 5.0, 8, 25.0)),
+        (None, RicianLinkParams(2.4, 5.0, 0), False),
+        (ArrayGeometry(2, 3), RicianLinkParams(2.4, 5.0, 0), False),
+        (None, RicianLinkParams(4.2, 3.0, 8), False),
+        (ArrayGeometry(4, 8), RicianLinkParams(2.5, 5.0, 8, 25.0), False),
+        (None, RicianLinkParams(4.2, 3.0, 8), True),
+        (ArrayGeometry(4, 8), RicianLinkParams(2.5, 5.0, 8, 25.0), True),
     ],
-    ids=["L0-single", "L0-planar", "single", "planar"],
+    ids=["L0-single", "L0-planar", "single", "planar", "batch-single", "batch-planar"],
 )
-def test_rician_matches_path_by_path_loop(rx_geom, params):
-    # the same draws in the same order as summing one path at a time: equal
-    # matrices to rounding and the stream left in the same state
-    tx_spec = SteeringSpec(ArrayGeometry(4, 4), 0.4, -0.3)
-    rx_spec = None if rx_geom is None else SteeringSpec(rx_geom, -1.1, 0.2)
+def test_rician_matches_path_by_path_loop(rx_geom, params, batched):
+    # the same draws in the same order as summing one path at a time, link
+    # after link: equal matrices to rounding and the stream left in the same
+    # state. A batch is three links with their own angles and path losses.
+    tx_az, tx_el = np.array([0.4, -0.8, 1.3]), np.array([-0.3, 0.1, 0.5])
+    rx_az, rx_el = np.array([-1.1, 0.6, 2.0]), np.array([0.2, -0.4, 0.0])
+    pl = np.array([3e-7, 1e-9, 4e-6])
+
+    def specs(k):
+        rx = None if rx_geom is None else SteeringSpec(rx_geom, rx_az[k], rx_el[k])
+        return SteeringSpec(ArrayGeometry(4, 4), tx_az[k], tx_el[k]), rx
+
+    batch = slice(None) if batched else 0
     for seed in (11, 12):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        H = gen_rician_matrix(tx_spec, rx_spec, params, 3e-7, rng)
-        _assert_close(H, rician_matrix_loop(tx_spec, rx_spec, params, 3e-7, ref_rng))
+        H = gen_rician_matrix(*specs(batch), params, pl[batch], rng)
+        got = H if batched else H[None]
+        ref = [rician_matrix_loop(*specs(k), params, pl[k], ref_rng) for k in range(len(got))]
+        assert len(got) == (3 if batched else 1)
+        for got_k, ref_k in zip(got, ref):
+            _assert_close(got_k, ref_k)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

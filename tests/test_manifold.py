@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import grid_min_objective, quadform, random_hermitian, random_phi, random_tangent
 
-from risbal import ConvergedBy, RcgConfig, project_to_tangent, rcg_minimize, retract_point
+from risbal import ConvergedBy, RcgConfig, p1_problem, project_to_tangent, rcg_minimize, retract_point
 from risbal.errors import DimensionError, NumericalError, RetractionSingularError
 from risbal.manifold import _truncated_cg, tangency_error, unit_modulus_error
 
@@ -190,6 +190,9 @@ def test_rcg_directional_derivative_matches_gradient():
 def test_rcg_rejects_bad_start():
     with pytest.raises(ValueError):
         rcg_minimize(lambda p: 0.0, lambda p: p, np.array([0.5, 1.0 + 0j]))
+    # NaN compares False against any tolerance; it must not pass as unit modulus
+    with pytest.raises(ValueError):
+        rcg_minimize(*p1_problem(np.eye(3), np.eye(3)), [1, np.nan, 1j])
 
 
 def test_rcg_nonfinite_objective_raises():

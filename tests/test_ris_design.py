@@ -118,6 +118,13 @@ def test_balance_matrix_definition_at_20db():
     assert np.array_equal(R, R.conj().T)
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_balance_matrix_rejects_bad_weight(lam):
+    # NaN would give an all-NaN R and inf an invalid-value warning
+    with pytest.raises(ValueError):
+        balance_matrix(np.eye(2), np.eye(2), lam)
+
+
 def test_balance_matrix_zero_norm_raises():
     with pytest.raises(NormalizationError):
         balance_matrix(np.zeros((2, 2)), np.eye(2), 1.0)
