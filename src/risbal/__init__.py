@@ -32,7 +32,6 @@ from .manifold import (
     ConvergedBy,
     RcgConfig,
     RcgTrace,
-    project_to_tangent,
     rcg_minimize,
     retract_point,
 )

@@ -199,7 +199,9 @@ def _draw_disc_positions(
 
 
 def _distance(a: Position3D, b: Position3D) -> float:
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
+    # np.linalg.norm's sqrt(d . d) without its copies and checks: the same bits
+    d = np.array((a.x - b.x, a.y - b.y, a.z - b.z), dtype=float)
+    return math.sqrt(d.dot(d))
 
 
 def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> ChannelSet:

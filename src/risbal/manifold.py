@@ -39,23 +39,6 @@ def unit_modulus_error(phi: np.ndarray) -> float:
     return float(np.max(np.abs(np.abs(phi) - 1.0)))
 
 
-def tangency_error(t: np.ndarray, phi: np.ndarray) -> float:
-    """Largest |Re(t_m * conj(phi_m))|; zero for a true tangent vector."""
-    return float(np.max(np.abs(np.real(t * np.conj(phi)))))
-
-
-def project_to_tangent(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Orthogonally project an ambient vector onto the tangent space at phi.
-
-    t_m = g_m - Re(g_m * conj(phi_m)) * phi_m
-    """
-    g = np.asarray(g, dtype=np.complex128)
-    phi = np.asarray(phi, dtype=np.complex128)
-    if g.shape != phi.shape or g.ndim != 1:
-        raise DimensionError(f"shape mismatch: g {g.shape} vs phi {phi.shape}")
-    return g - np.real(g * np.conj(phi)) * phi
-
-
 def retract_point(x: np.ndarray) -> np.ndarray:
     """Map an ambient vector back onto the manifold by entry-wise normalization."""
     x = np.asarray(x, dtype=np.complex128)

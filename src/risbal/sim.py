@@ -18,8 +18,8 @@ phases and balanced designs (keyed by linear weight), and per transmit
 power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
 a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
 sweep computes only its Proposed design and rates.
-BLAS threads (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only
-parallelism.
+A drop runs on one BLAS thread, so the CSV does not depend on
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; without OpenBLAS this is a no-op.
 """
 
 from __future__ import annotations
@@ -27,9 +27,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
+import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -79,6 +82,47 @@ class SweepResult:
     mean_sum_rate: float
     std_err: float
     num_drops: int
+
+
+@functools.cache
+def _openblas_setters() -> tuple:
+    """openblas_set_num_threads_local of each OpenBLAS in /proc/self/maps, looked
+    up on first use; empty if none exports it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {ln.split(maxsplit=5)[-1].strip() for ln in fh if "openblas" in ln.lower()}
+    except OSError:  # not Linux
+        return ()
+    setters = []
+    for path in sorted(paths):
+        with contextlib.suppress(OSError, AttributeError):
+            setters.append(ctypes.CDLL(path).openblas_set_num_threads_local)
+            setters[-1].argtypes, setters[-1].restype = [ctypes.c_int], ctypes.c_int
+    return tuple(setters)
+
+
+_blas_lock = threading.Lock()
+_blas_depth, _blas_saved = 0, []  # drops running; the counts from before the first
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+    In numpy's pthreads OpenBLAS the setter changes the whole process's count,
+    so among concurrent drops the first one in sets it, the last one out restores it."""
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [setter(1) for setter in _openblas_setters()]
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for setter, count in zip(_openblas_setters(), _blas_saved):
+                    setter(count)
 
 
 class _Drop:
@@ -134,16 +178,17 @@ def run_drop(
     shared holds the latest draw by its seed. A sweep passes one map to all
     its calls, so values with the same seed reuse the draw and a new seed
     replaces it. Nothing in a draw may depend on the weight, and only its
-    per-power entries on the transmit power.
+    per-power entries on the transmit power. It runs on one BLAS thread.
     """
     if shared is None:
         shared = {}
-    if drop_seed not in shared:
-        shared.clear()
-        shared[drop_seed] = _Drop(cfg, drop_seed)
-    drop = shared[drop_seed]
-    F2, fixed = drop.weight_free(cfg.transmit_power_w)
-    proposed = drop.rates(drop.design(cfg.lambda_linear), cfg.transmit_power_w, F2)
+    with _one_blas_thread():
+        if drop_seed not in shared:
+            shared.clear()
+            shared[drop_seed] = _Drop(cfg, drop_seed)
+        drop = shared[drop_seed]
+        F2, fixed = drop.weight_free(cfg.transmit_power_w)
+        proposed = drop.rates(drop.design(cfg.lambda_linear), cfg.transmit_power_w, F2)
     return {Scheme.PROPOSED: proposed, **fixed}
 
 
@@ -247,8 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
                "direct links). Drops run in order in one process, drop-major: each "
                "drop index runs every sweep value in turn, and values that share a "
                "drop (all of them with --crn) draw its channels and designs once. "
-               "BLAS threads (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS) are the only "
-               "parallelism.",
+               "A drop runs on one BLAS thread, so the CSV does not depend on "
+               "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; without OpenBLAS this is "
+               "a no-op.",
     )
     parser.add_argument("--config", help="scenario config file (defaults used if omitted)")
     parser.add_argument(

@@ -13,6 +13,7 @@ from risbal import (
     upa_steering,
 )
 from risbal.channel import _distance, _draw_disc_positions
+from risbal.errors import DimensionError
 
 
 def random_hermitian(M, rng, scale=1.0):
@@ -22,6 +23,21 @@ def random_hermitian(M, rng, scale=1.0):
 
 def random_phi(M, rng):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=M))
+
+
+def tangency_error(t, phi):
+    """Largest |Re(t_m * conj(phi_m))|; zero for a true tangent vector."""
+    return float(np.max(np.abs(np.real(t * np.conj(phi)))))
+
+
+def project_to_tangent(g, phi):
+    """Orthogonal projection of an ambient vector onto the tangent space at
+    phi: t_m = g_m - Re(g_m * conj(phi_m)) * phi_m."""
+    g = np.asarray(g, dtype=np.complex128)
+    phi = np.asarray(phi, dtype=np.complex128)
+    if g.shape != phi.shape or g.ndim != 1:
+        raise DimensionError(f"shape mismatch: g {g.shape} vs phi {phi.shape}")
+    return g - np.real(g * np.conj(phi)) * phi
 
 
 def random_tangent(phi, rng):

@@ -12,10 +12,12 @@ from conftest import (
     cascade,
     dense_totals,
     grid_min_objective,
+    project_to_tangent,
     quadform,
     random_hermitian,
     random_phi,
     random_tangent,
+    tangency_error,
     total_gain_matrix,
 )
 
@@ -28,13 +30,12 @@ from risbal import (
     design_balanced,
     gen_channel_set,
     p1_problem,
-    project_to_tangent,
     rcg_minimize,
     retract_point,
     run_sweep,
     write_csv,
 )
-from risbal.manifold import tangency_error, unit_modulus_error
+from risbal.manifold import unit_modulus_error
 from risbal.sim import Cell
 
 

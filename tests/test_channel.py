@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import channel_set_loop, rician_matrix_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbal import (
     ArrayGeometry,
@@ -14,6 +16,7 @@ from risbal import (
     path_loss_linear,
     upa_steering,
 )
+from risbal.channel import _distance
 from risbal.errors import GeometryError, NumericalError
 
 
@@ -39,6 +42,18 @@ def test_los_angles_hand_trigonometry():
 def test_los_angles_coincident_raises():
     with pytest.raises(GeometryError):
         los_angles(Position3D(1, 2, 3), Position3D(1, 2, 3))
+
+
+_coord = st.one_of(st.integers(-10_000, 10_000), st.floats(-1e4, 1e4))
+_height = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coord, _coord, _height, _coord, _coord, _height)
+def test_distance_equals_norm_to_the_bit(ax, ay, az, bx, by, bz):
+    # path-loss gains depend on positions only through this distance
+    a, b = Position3D(ax, ay, az), Position3D(bx, by, bz)
+    assert _distance(a, b) == float(np.linalg.norm(a.as_array() - b.as_array()))
 
 
 # ------------------------------------------------------------------ steering

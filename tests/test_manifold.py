@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
-from conftest import grid_min_objective, quadform, random_hermitian, random_phi, random_tangent
+from conftest import (
+    grid_min_objective,
+    project_to_tangent,
+    quadform,
+    random_hermitian,
+    random_phi,
+    random_tangent,
+    tangency_error,
+)
 
-from risbal import ConvergedBy, RcgConfig, p1_problem, project_to_tangent, rcg_minimize, retract_point
+from risbal import ConvergedBy, RcgConfig, p1_problem, rcg_minimize, retract_point
 from risbal.errors import DimensionError, NumericalError, RetractionSingularError
-from risbal.manifold import _truncated_cg, tangency_error, unit_modulus_error
+from risbal.manifold import _truncated_cg, unit_modulus_error
 
 
 # ---------------------------------------------------------------- projection

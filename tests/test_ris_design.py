@@ -6,6 +6,7 @@ from conftest import (
     cascade,
     dense_totals,
     grid_min_objective,
+    project_to_tangent,
     quadform,
     random_hermitian,
     random_phi,
@@ -28,7 +29,7 @@ from risbal import (
     p1_problem,
 )
 from risbal.errors import HermitianViolationError, NormalizationError, NumericalError
-from risbal.manifold import project_to_tangent, unit_modulus_error
+from risbal.manifold import unit_modulus_error
 
 
 def _random_complex(shape, rng):

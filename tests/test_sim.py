@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from conftest import small_cfg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import risbal.sim
 from risbal import (
     ArrayGeometry,
     Position3D,
@@ -59,6 +61,81 @@ def test_run_drop_builds_gram_totals_once(monkeypatch):
         monkeypatch.setattr(mod, "effective_channels", counted, raising=False)
     run_drop(small_cfg(), 3)
     assert len(calls) == 1
+
+
+needs_openblas = pytest.mark.skipif(
+    not risbal.sim._openblas_setters(),
+    reason="no loaded OpenBLAS exports openblas_set_num_threads_local",
+)
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, read by setting and restoring it
+    under the lock that guards the drops' own changes to it."""
+    setter = risbal.sim._openblas_setters()[0]
+    with risbal.sim._blas_lock:
+        count = setter(1)
+        setter(count)
+    return count
+
+
+@needs_openblas
+def test_run_drop_runs_on_one_blas_thread(monkeypatch):
+    seen = []
+    original = risbal.sim.effective_channels
+
+    def recorded(channels):
+        seen.append(_blas_threads())
+        return original(channels)
+
+    def failing(channels):
+        seen.append(_blas_threads())
+        raise NumericalError("injected")
+
+    setter = risbal.sim._openblas_setters()[0]
+    before = setter(2)
+    try:
+        monkeypatch.setattr(risbal.sim, "effective_channels", recorded)
+        run_drop(small_cfg(), 3)
+        assert seen == [1] and _blas_threads() == 2
+        monkeypatch.setattr(risbal.sim, "effective_channels", failing)
+        with pytest.raises(NumericalError, match="injected"):
+            run_drop(small_cfg(), 4)
+        assert seen == [1, 1] and _blas_threads() == 2
+    finally:
+        setter(before)
+
+
+@needs_openblas
+def test_concurrent_drops_restore_the_callers_blas_threads(monkeypatch):
+    # the count is one per process, so a drop that ends while another runs
+    # must neither raise it under the other nor leave the other's 1 behind
+    seen = []
+    original = risbal.sim.effective_channels
+
+    def recorded(channels):
+        seen.append(_blas_threads())
+        return original(channels)
+
+    def drops(first_seed):
+        for seed in range(first_seed, first_seed + 5):
+            run_drop(small_cfg(), seed)
+
+    monkeypatch.setattr(risbal.sim, "effective_channels", recorded)
+    setter = risbal.sim._openblas_setters()[0]
+    before, interval = setter(2), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=drops, args=(10 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 20 and _blas_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        setter(before)
 
 
 def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
@@ -452,16 +529,37 @@ def test_cli_end_to_end(tmp_path):
     assert len(rows) == 1 + 3 * len(Scheme) * 2
 
 
-def _run_python(*args):
-    """Run the interpreter on args with this checkout's risbal importable."""
+def _run_python(*args, **env):
+    """Run the interpreter on args with this checkout's risbal importable,
+    with env's variables set."""
     import risbal
 
     src = os.path.dirname(os.path.dirname(risbal.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@needs_openblas
+def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # on a 512-element surface some of a drop's BLAS and LAPACK calls round
+    # differently on one and two threads, so without the one-thread drop the
+    # Proposed rows at 20 dB differ
+    cfg_file = tmp_path / "m512.cfg"
+    cfg_file.write_text("ris_array = 16x32\n")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = _run_python(
+            "-m", "risbal", "--config", str(cfg_file), "--sweep", "lambda",
+            "--values", "0,20", "--drops", "6", "--seed", "5", "--out", str(out),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_python_m_risbal_runs_without_warnings(tmp_path):
