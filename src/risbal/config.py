@@ -34,11 +34,6 @@ class Position3D:
         if self.z < 0:
             raise ConfigError(f"height must be nonnegative, got z={self.z}")
 
-    def as_array(self):
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -263,10 +258,10 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read and parse a scenario config file."""
+    """Read and parse a scenario config file; a leading byte-order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return parse_config_text(text)

@@ -11,10 +11,10 @@ uniform random phases serve as baselines.
 Every step takes and returns plain arrays. Each Gram total is B_i B_i^H,
 whose factor B_i stacks the columns diag(conj h_k) g over a basis g of G_i's
 range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far fewer columns
-than M. effective_channels gives, once per drop, an orthonormal basis U of
-their joint range and both totals in it, K_i = U^H At_i U, with
-At_i = U K_i U^H, from a Householder QR [B_1 B_2] = U T, so K_i = T_i T_i^H;
-this core is the only form in which the totals are built.
+than M. effective_channels takes, once per drop, the Householder QR
+[B_1 B_2] = U T; U (M, r), r = min(M, c) for c columns, is orthonormal at any
+rank and holds both totals in its range, K_i = T_i T_i^H = U^H At_i U with
+At_i = U K_i U^H. This core is the only form in which the totals are built.
 Since U^H U = I, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam) is the
 core U^H R U of R = U (U^H R U) U^H. The designs take that r x r core with
 its basis U and never form R: the warm start is an r x r eigensolve, and
@@ -66,31 +66,21 @@ def _gram_factor(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both Gram totals At_i = sum_k A_ik A_ik^H of one draw, in their core:
-    an orthonormal basis U (M, r) of the totals' joint range and
+    an orthonormal basis U (M, r) whose range holds both totals and
     K_i = U^H At_i U (r, r), exactly Hermitian, with At_i = U K_i U^H.
 
-    A reduced Householder QR [B_1 B_2] = Q T gives Q orthonormal to rounding
-    whatever the rank, and B_i B_i^H = Q T_i T_i^H Q^H for T_i the columns of
-    T that belong to cell i. r is the numerical rank by
-    np.linalg.matrix_rank's convention (singular values above
-    s_max * max(shape) * eps), tested on T, whose singular values are
-    [B_1 B_2]'s. At full rank U = Q and K_i = T_i T_i^H; a rank-deficient T
-    is first rotated onto its leading r singular directions, T = W S V^H
-    giving U = Q W_r and T_r = S_r V_r^H. Gains the numbers cannot carry come
-    out as norms balance_matrix rejects: an all-zero G_i adds no columns, so
-    K_i = 0 (r = 0 when both are), and products that overflow give inf or nan
-    entries, without a warning.
+    U is the Q of a reduced Householder QR [B_1 B_2] = Q T, so r = min(M, c)
+    for the c columns of [B_1 B_2]; Q is orthonormal to rounding whatever the
+    rank, and B_i B_i^H = Q T_i T_i^H Q^H for T_i the columns of T
+    that belong to cell i, so K_i = T_i T_i^H. Gains the numbers cannot carry
+    come out as norms balance_matrix rejects: an all-zero G_i adds no columns,
+    so K_i = 0 (r = 0 when both are), and products that overflow give inf or
+    nan entries, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             B1 = _gram_factor(channels.h_r1, channels.G1)
-            B = np.hstack([B1, _gram_factor(channels.h_r2, channels.G2)])
-            Q, T = np.linalg.qr(B)
-            s = np.linalg.svd(T, compute_uv=False)
-            r = _numerical_rank(s, B.shape)
-            if r < len(s):
-                W, s, Vh = np.linalg.svd(T, full_matrices=False)
-                Q, T = Q @ W[:, :r], s[:r, None] * Vh[:r]
+            Q, T = np.linalg.qr(np.hstack([B1, _gram_factor(channels.h_r2, channels.G2)]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Gram-core factorization failed: {exc}") from exc
         T1, T2 = T[:, : B1.shape[1]], T[:, B1.shape[1]:]
@@ -143,11 +133,12 @@ def design_eigen(R: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     basis (M, r) must have orthonormal columns, as effective_channels' U and
     the identity have; R is the r x r core. If r < M and the core has no
-    positive eigenvalue, the top eigenspace (eigenvalue 0) is null(basis^H),
-    and the vector taken is its projector's column of largest norm, whose
-    squared norm 1 - ||basis[m]||^2 is at least 1 - r/M. An exactly zero entry
-    has no defined phase and is set to phase 0. eigh reads one triangle of R
-    only, so R must be Hermitian (design_balanced checks it).
+    positive eigenvalue, the top eigenspace (eigenvalue 0) contains
+    null(basis^H), and the vector taken is its projector's column of largest
+    norm, whose squared norm 1 - ||basis[m]||^2 is at least 1 - r/M. An
+    exactly zero entry has no defined phase and is set to phase 0. eigh reads
+    one triangle of R only, so R must be Hermitian (design_balanced checks
+    it).
     """
     try:
         vals, vecs = np.linalg.eigh(R)

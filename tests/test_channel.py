@@ -53,7 +53,8 @@ _height = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
 def test_distance_equals_norm_to_the_bit(ax, ay, az, bx, by, bz):
     # path-loss gains depend on positions only through this distance
     a, b = Position3D(ax, ay, az), Position3D(bx, by, bz)
-    assert _distance(a, b) == float(np.linalg.norm(a.as_array() - b.as_array()))
+    d = np.array([a.x, a.y, a.z], dtype=float) - np.array([b.x, b.y, b.z], dtype=float)
+    assert _distance(a, b) == float(np.linalg.norm(d))
 
 
 # ------------------------------------------------------------------ steering

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from risbal import (
     ArrayGeometry,
+    ChannelSet,
     ConvergedBy,
     RcgConfig,
     ScenarioConfig,
@@ -427,8 +428,9 @@ def test_design_balanced_factor_form_matches_dense_solve(ris_array):
                          ids=["surface-narrower-than-B", "rank-deficient-B"])
 def test_gram_core_basis_has_the_numerical_rank(ris_array, same_cells):
     # M = 16 < 72 columns of [B1 B2], and identical cells (rank half the
-    # columns): U keeps exactly matrix_rank([B1 B2]) orthonormal columns and
-    # still reproduces the cascade totals
+    # columns): U is the Householder Q, min(M, c) orthonormal columns for the
+    # c columns of [B1 B2] whatever their rank, and still reproduces the
+    # cascade totals
     from risbal.ris_design import _gram_factor
 
     cs = _channels(seed=6, ris_array=ris_array)
@@ -438,13 +440,67 @@ def test_gram_core_basis_has_the_numerical_rank(ris_array, same_cells):
     U, K1, K2 = effective_channels(cs)
     M, r = U.shape
     assert M == ris_array.size
-    assert r == np.linalg.matrix_rank(B) < B.shape[1]
+    assert r == min(M, B.shape[1])
     assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
     for K, (h_r, G) in zip((K1, K2), ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))):
         ref = total_gain_matrix([cascade(h, G) for h in h_r])
         assert K.shape == (r, r)
         assert np.array_equal(K, K.conj().T)
         assert np.linalg.norm(U @ K @ U.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_gram_core_takes_no_svd_of_its_factor(monkeypatch):
+    # the two SVDs are _gram_factor's, one per G_i; the core itself is one QR
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    effective_channels(_channels(seed=1))
+    assert len(calls) == 2
+
+
+@st.composite
+def _rank_deficient_channels(draw):
+    # small synthetic draws that lose rank: duplicated users, identical cells,
+    # or more columns in [B1 B2] than surface elements
+    K = draw(st.integers(1, 3))
+    N1, N2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    loss = draw(st.sampled_from(["duplicated-users", "identical-cells", "narrow-surface"]))
+    # with M <= N1, N2 each G_i has rank M, so [B1 B2] has 2 K M > M columns
+    M = draw(st.integers(1, min(N1, N2) if loss == "narrow-surface" else 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G1, G2 = _random_complex((M, N1), rng), _random_complex((M, N2), rng)
+    h_r1, h_r2 = _random_complex((K, M), rng), _random_complex((K, M), rng)
+    if loss == "duplicated-users":
+        h_r1, h_r2 = np.vstack([h_r1, h_r1[:1]]), np.vstack([h_r2[:1], h_r2])
+    elif loss == "identical-cells":
+        G2, h_r2 = G1, h_r1
+    return ChannelSet(G1=G1, G2=G2, h_r1=h_r1, h_r2=h_r2,
+                      h_d2=_random_complex((len(h_r2), G2.shape[1]), rng),
+                      noise_var=1.0, theta=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_deficient_channels(), st.sampled_from([0.0, 1.0, 10.0, 1000.0]))
+def test_gram_core_exact_under_rank_loss(cs, lam):
+    U, K1, K2 = effective_channels(cs)
+    M, r = U.shape
+    assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
+    refs = [total_gain_matrix([cascade(h, G) for h in h_r])
+            for h_r, G in ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))]
+    for K, ref in zip((K1, K2), refs):
+        assert np.array_equal(K, K.conj().T)
+        assert np.linalg.norm(U @ K @ U.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
+    # R = U core U^H has the core's eigenvalues plus M - r zeros
+    top = np.linalg.eigvalsh(balance_matrix(K1, K2, lam))[-1]
+    if r < M:
+        top = max(top, 0.0)
+    dense_top = np.linalg.eigvalsh(balance_matrix(*refs, lam))[-1]
+    assert top == pytest.approx(dense_top, abs=1e-13 * (1.0 + lam))
 
 
 def test_numerical_rank_near_overflow_and_empty():
@@ -459,18 +515,17 @@ def test_numerical_rank_near_overflow_and_empty():
 
 def test_gram_core_degenerate_when_cells_see_the_same_gains():
     # identical cell channels: At1 = At2, so R = (1 - lam) At1 / ||At1|| <= 0
-    # for lam > 1 and the core has no positive eigenvalue
+    # for lam > 1 and R has no positive eigenvalue beyond rounding
     cs = _channels(seed=5)
     cs = replace(cs, G2=cs.G1, h_r2=cs.h_r1)
     U, K1, K2 = effective_channels(cs)
     assert U.shape[1] < U.shape[0]
     lam = 10.0
-    core = balance_matrix(K1, K2, lam)
-    assert np.linalg.eigvalsh(core)[-1] <= 0.0
-    phi0 = design_eigen(core, U)
+    R = balance_matrix(*dense_totals(cs), lam)
+    assert np.linalg.eigvalsh(R)[-1] <= 1e-12 * np.linalg.norm(R)
+    phi0 = design_eigen(balance_matrix(K1, K2, lam), U)
     assert np.all(np.isfinite(phi0))
     assert unit_modulus_error(phi0) < 1e-12
-    R = balance_matrix(*dense_totals(cs), lam)
     phi, trace = design_balanced(R, np.eye(len(R)), phi0=phi0)
     assert np.all(np.isfinite(phi))
     assert trace.objective_values[-1] <= trace.objective_values[0]

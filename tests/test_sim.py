@@ -614,6 +614,23 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_cli_undecodable_config_exits_2(tmp_path, capsys):
+    # bytes that are not UTF-8 are a config error, not a traceback; a leading
+    # byte-order mark is not part of the first key
+    out = tmp_path / "x.csv"
+    argv = ["--sweep", "lambda", "--values", "0", "--out", str(out)]
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\nnum_drops = 2 # \xff\n")
+    assert cli_main(["--config", str(bad), *argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("risbal: config error:")
+    assert not out.exists()
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbfseed = 1\nnum_drops = 1\n")
+    assert cli_main(["--config", str(bom), *argv]) == 0
+    assert out.exists()
+
+
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")
