@@ -4,22 +4,34 @@ Defaults follow the reference operating point: two 4x4 base stations, an
 8x16 reflecting surface, 4 users per cell, 30 dBm transmit power, -104 dBm
 noise, pi/6 inter-band phase offset and a 20 dB balancing weight.
 
-Config files are flat UTF-8 ``key = value`` text; keys match ScenarioConfig
-field names and unknown keys are rejected. Composite values:
+Config files are flat UTF-8 ``key = value`` text. Keys are ScenarioConfig
+field names, each given at most once; unknown keys are rejected. A key's
+syntax follows its field's declared type ('@' must be followed by a spacing):
 
-    bs1_array     = 4x4           vertical x horizontal [@spacing]
-    bs1_pos       = 0,0,15        x,y,z meters
-    cell1_center  = 45,15         x,y meters
-    direct_link   = 4.2,3,8       exponent, rician dB, nlos paths [,spread deg]
-    lambda_db     = 20            -inf selects a zero balancing weight
+    bs1_array     = 4x4@0.5       ArrayGeometry: vertical x horizontal [@spacing]
+    bs1_pos       = 0,0,15        Position3D: x,y,z meters
+    cell1_center  = 45,15         tuple[float, float]: x,y meters
+    direct_link   = 4.2,3,8       RicianLinkParams: exponent, rician dB, paths [,spread deg]
+    num_drops     = 100           int
+    lambda_db     = 20            float; -inf selects a zero balancing weight
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import astuple, dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError
+
+
+def _require_ints(obj: object, *names: str) -> None:
+    """Counts are Python or numpy integers; a bool or a float is rejected."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +56,7 @@ class ArrayGeometry:
     element_spacing: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_ints(self, "vertical_count", "horizontal_count")
         if self.vertical_count < 1 or self.horizontal_count < 1:
             raise ConfigError("array counts must be positive")
         if self.element_spacing <= 0:
@@ -70,6 +83,7 @@ class RicianLinkParams:
     def __post_init__(self) -> None:
         if self.path_loss_exponent <= 0:
             raise ConfigError("path_loss_exponent must be positive")
+        _require_ints(self, "nlos_path_count")
         if self.nlos_path_count < 0:
             raise ConfigError("nlos_path_count must be nonnegative")
         if self.angular_spread_deg < 0:
@@ -109,6 +123,7 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        _require_ints(self, "users_per_cell", "num_drops", "seed")
         if self.users_per_cell < 1:
             raise ConfigError("users_per_cell must be >= 1")
         if self.num_drops < 1:
@@ -177,29 +192,23 @@ def _parse_int(text: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
 
 
+def _parse_numbers(text: str, key: str, form: str) -> list[float]:
+    """Numbers of a comma list with as many entries as ``form`` (e.g. 'x,y,z')."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != form.count(",") + 1:
+        raise ConfigError(f"{key}: expected {form!r}, got {text!r}")
+    return [_parse_float(p, key) for p in parts]
+
+
 def _parse_array(text: str, key: str) -> ArrayGeometry:
-    body, _, spacing = text.partition("@")
+    body, at, spacing = text.partition("@")
     parts = body.lower().split("x")
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected 'VxH' or 'VxH@spacing', got {text!r}")
     v = _parse_int(parts[0].strip(), key)
     h = _parse_int(parts[1].strip(), key)
-    s = _parse_float(spacing.strip(), key) if spacing else 0.5
+    s = _parse_float(spacing.strip(), key) if at else 0.5
     return ArrayGeometry(v, h, s)
-
-
-def _parse_pos(text: str, key: str) -> Position3D:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected 'x,y,z', got {text!r}")
-    return Position3D(*(_parse_float(p, key) for p in parts))
-
-
-def _parse_xy(text: str, key: str) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected 'x,y', got {text!r}")
-    return (_parse_float(parts[0], key), _parse_float(parts[1], key))
 
 
 def _parse_link(text: str, key: str) -> RicianLinkParams:
@@ -208,38 +217,29 @@ def _parse_link(text: str, key: str) -> RicianLinkParams:
         raise ConfigError(
             f"{key}: expected 'exponent,rician_db,paths[,spread_deg]', got {text!r}"
         )
-    kwargs = {}
-    if len(parts) == 4:
-        kwargs["angular_spread_deg"] = _parse_float(parts[3], key)
+    spread = [_parse_float(p, key) for p in parts[3:]]
     return RicianLinkParams(
-        _parse_float(parts[0], key),
-        _parse_float(parts[1], key),
-        _parse_int(parts[2], key),
-        **kwargs,
+        _parse_float(parts[0], key), _parse_float(parts[1], key), _parse_int(parts[2], key),
+        *spread,
     )
 
 
-_PARSERS = {
-    "bs1_array": _parse_array,
-    "bs2_array": _parse_array,
-    "ris_array": _parse_array,
-    "bs1_pos": _parse_pos,
-    "bs2_pos": _parse_pos,
-    "ris_pos": _parse_pos,
-    "cell1_center": _parse_xy,
-    "cell2_center": _parse_xy,
-    "direct_link": _parse_link,
-    "ris_user_link": _parse_link,
-    "bs_ris_link": _parse_link,
-    "users_per_cell": _parse_int,
-    "num_drops": _parse_int,
-    "seed": _parse_int,
+# one parser per declared field type; a key's syntax follows its field's type
+_TYPE_PARSERS = {
+    ArrayGeometry: _parse_array,
+    Position3D: lambda text, key: Position3D(*_parse_numbers(text, key, "x,y,z")),
+    tuple[float, float]: lambda text, key: tuple(_parse_numbers(text, key, "x,y")),
+    RicianLinkParams: _parse_link,
+    int: _parse_int,
+    float: _parse_float,
+}
+_FIELD_PARSERS = {
+    name: _TYPE_PARSERS[tp] for name, tp in get_type_hints(ScenarioConfig).items()
 }
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Build a ScenarioConfig from flat key=value text over the defaults."""
-    known = {f.name for f in fields(ScenarioConfig)}
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -247,13 +247,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in known:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parser = _PARSERS.get(key)
-        overrides[key] = parser(value, key) if parser else _parse_float(value, key)
+        if key in overrides:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
+        overrides[key] = _FIELD_PARSERS[key](value.strip(), key)
     return ScenarioConfig(**overrides)
 
 

@@ -323,25 +323,14 @@ def cli_main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ScenarioConfig()
-        overrides = {}
-        if args.drops is not None:
-            overrides["num_drops"] = args.drops
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            cfg = replace(cfg, **overrides)
+        overrides = {"num_drops": args.drops, "seed": args.seed}
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"--values must be a comma-separated number list, got {args.values!r}")
         sweep = SweepParam(args.sweep)
-    except ConfigError as exc:
-        print(f"risbal: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        results = run_sweep(cfg, sweep, values, crn=args.crn)
-        write_csv(results, args.out, sweep)
+        write_csv(run_sweep(cfg, sweep, values, crn=args.crn), args.out, sweep)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"risbal: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -352,4 +341,3 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"risbal: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
-

@@ -6,7 +6,7 @@ import sys
 import tempfile
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -420,6 +420,86 @@ def test_config_text_round_trip():
     assert cfg.seed == 42
 
 
+# one non-default value per ScenarioConfig field, in config-file syntax
+_FIELD_CASES = [
+    ("bs1_array", "2x2", ArrayGeometry(2, 2)),
+    ("bs2_array", "4x2@0.25", ArrayGeometry(4, 2, 0.25)),
+    ("ris_array", "16X32 @ 0.4", ArrayGeometry(16, 32, 0.4)),
+    ("bs1_pos", "1,2,10", Position3D(1.0, 2.0, 10.0)),
+    ("bs2_pos", "70.5, -3, 12", Position3D(70.5, -3.0, 12.0)),
+    ("ris_pos", "40,30,8", Position3D(40.0, 30.0, 8.0)),
+    ("cell1_center", "40,12", (40.0, 12.0)),
+    ("cell1_radius", "8", 8.0),
+    ("cell2_center", "70, -5", (70.0, -5.0)),
+    ("cell2_radius", "12.5", 12.5),
+    ("user_height", "1.5", 1.5),
+    ("users_per_cell", "3", 3),
+    ("direct_link", "4.0,3,6,12", RicianLinkParams(4.0, 3.0, 6, 12.0)),
+    ("ris_user_link", "2.2, 6, 3", RicianLinkParams(2.2, 6.0, 3)),
+    ("bs_ris_link", "2.6,10,0,0", RicianLinkParams(2.6, 10.0, 0, 0.0)),
+    ("pathloss_ref_db", "-35", -35.0),
+    ("pathloss_ref_distance_m", "2", 2.0),
+    ("p_t_dbm", "24", 24.0),
+    ("noise_dbm", "-100", -100.0),
+    ("theta_rad", "0.25", 0.25),
+    ("lambda_db", "-inf", -math.inf),
+    ("num_drops", "9", 9),
+    ("seed", "42", 42),
+]
+
+
+def test_config_field_cases_cover_every_field():
+    keys = [key for key, _, _ in _FIELD_CASES]
+    assert sorted(keys) == sorted(f.name for f in fields(ScenarioConfig))
+
+
+@pytest.mark.parametrize("key,text,expected", _FIELD_CASES, ids=[c[0] for c in _FIELD_CASES])
+def test_config_every_field_round_trips(key, text, expected):
+    # repr tells an int count from a float and each dataclass's field types
+    assert getattr(ScenarioConfig(), key) != expected
+    cfg = parse_config_text(f"{key} = {text}  # overrides one default\n")
+    assert repr(getattr(cfg, key)) == repr(expected)
+    assert cfg == replace(ScenarioConfig(), **{key: expected})
+
+
+def test_config_repeated_key_rejected():
+    with pytest.raises(ConfigError, match=r"^line 2: key 'seed' given twice$"):
+        parse_config_text("seed = 1\nseed = 2\n")
+
+
+def test_config_array_at_needs_spacing():
+    for text in ("4x4@", "4x4 @ ", "4x4@  # no spacing"):
+        with pytest.raises(ConfigError, match="ris_array: expected a number, got ''"):
+            parse_config_text(f"ris_array = {text}")
+
+
+def test_config_counts_must_be_integers():
+    for build in (
+        lambda: replace(ScenarioConfig(), num_drops=2.5),
+        lambda: replace(ScenarioConfig(), users_per_cell=2.5),
+        lambda: replace(ScenarioConfig(), users_per_cell=True),
+        lambda: replace(ScenarioConfig(), seed=1.5),
+        lambda: replace(ScenarioConfig(), seed=np.float64(1.0)),
+        lambda: ArrayGeometry(2.5, 4),
+        lambda: ArrayGeometry(2, np.bool_(True)),
+        lambda: RicianLinkParams(4.2, 3.0, 2.5),
+        lambda: RicianLinkParams(4.2, 3.0, False),
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build()
+
+
+def test_config_accepts_numpy_integer_counts():
+    i = np.int64
+    link = RicianLinkParams(4.2, 3.0, i(2))
+    cfg = small_cfg(users_per_cell=i(2), num_drops=i(2), seed=i(7),
+                    ris_array=ArrayGeometry(i(2), i(4)), direct_link=link)
+    expected = small_cfg(num_drops=2, direct_link=RicianLinkParams(4.2, 3.0, 2))
+    assert run_sweep(cfg, SweepParam.LAMBDA_DB, [10.0]) == run_sweep(
+        expected, SweepParam.LAMBDA_DB, [10.0]
+    )
+
+
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("bogus_key = 3")
@@ -640,6 +720,20 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "nonsense" in capsys.readouterr().err
+
+
+def test_cli_repeated_config_key_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seed = 1\nseed = 2\n")
+    out = tmp_path / "x.csv"
+    code = cli_main([
+        "--config", str(bad), "--sweep", "lambda", "--values", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "risbal: config error: line 2: key 'seed' given twice"
+    ]
+    assert not out.exists()
 
 
 def test_cli_bad_values_exit_2(tmp_path, capsys):
