@@ -18,25 +18,22 @@ from .errors import DimensionError, NumericalError
 __all__ = ["composite_cell1", "composite_cell2", "slnr_beamformer"]
 
 
+def _reflected(phi: np.ndarray, h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Rows phi^H diag(h^H) G == (conj(phi) * conj(h))^T G, one per user row of h_r."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.shape != (G.shape[0],):
+        raise DimensionError(f"phi has {phi.size} entries, surface has {G.shape[0]}")
+    return (np.conj(phi)[None, :] * np.conj(h_r)) @ G
+
+
 def composite_cell1(phi: np.ndarray, channels: ChannelSet) -> np.ndarray:
     """Rows phi^H A_1k for every cell-1 user, shape (K1, N1)."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (channels.G1.shape[0],):
-        raise DimensionError(
-            f"phi has {phi.size} entries, surface has {channels.G1.shape[0]}"
-        )
-    # phi^H diag(h^H) G == (conj(phi) * conj(h))^T G
-    return (np.conj(phi)[None, :] * np.conj(channels.h_r1)) @ channels.G1
+    return _reflected(phi, channels.h_r1, channels.G1)
 
 
 def composite_cell2(phi: np.ndarray, channels: ChannelSet) -> np.ndarray:
     """Rows h_d^H + e^{j theta} phi^H A_2k for every cell-2 user, shape (K2, N2)."""
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (channels.G2.shape[0],):
-        raise DimensionError(
-            f"phi has {phi.size} entries, surface has {channels.G2.shape[0]}"
-        )
-    reflected = (np.conj(phi)[None, :] * np.conj(channels.h_r2)) @ channels.G2
+    reflected = _reflected(phi, channels.h_r2, channels.G2)
     return np.conj(channels.h_d2) + np.exp(1j * channels.theta) * reflected
 
 

@@ -4,6 +4,10 @@ Defaults follow the reference operating point: two 4x4 base stations, an
 8x16 reflecting surface, 4 users per cell, 30 dBm transmit power, -104 dBm
 noise, pi/6 inter-band phase offset and a 20 dB balancing weight.
 
+Every config class checks itself when built, also by ``replace``: each value
+must have its field's annotated type (Python or numpy numbers, a float finite
+but lambda_db may be -inf, never a bool) and range, or ConfigError is raised.
+
 Config files are flat UTF-8 ``key = value`` text. Keys are ScenarioConfig
 field names, each given at most once; unknown keys are rejected. A key's
 syntax follows its field's declared type ('@' must be followed by a spacing):
@@ -18,20 +22,43 @@ syntax follows its field's declared type ('@' must be followed by a spacing):
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import astuple, dataclass, fields, is_dataclass
-from typing import get_type_hints
+import sys
+from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
+# each config class's field types, read once: the checker and the parser use it
+_field_types = functools.cache(get_type_hints)
+_KINDS = {int: "an integer", float: "a finite number", tuple[float, float]: "two finite numbers"}
 
-def _require_ints(obj: object, *names: str) -> None:
-    """Counts are Python or numpy integers; a bool or a float is rejected."""
-    for name in names:
+
+def _fits(value: object, tp: object, minus_inf_ok: bool = False) -> bool:
+    """Whether value has the declared type tp (see the module docstring)."""
+    if tp is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if tp is float:  # finite as a float: an int too large for one is not
+        if isinstance(value, numbers.Integral):
+            return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+        return isinstance(value, numbers.Real) and (math.isfinite(value)
+                                                    or minus_inf_ok and value == -math.inf)
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
+    return isinstance(value, tp)  # a nested config, which checked itself when built
+
+
+def _check_types(obj: object, *minus_inf_ok: str) -> None:
+    """Raise ConfigError unless each field has its declared type; minus_inf_ok may be -inf."""
+    for name, tp in _field_types(type(obj)).items():
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not _fits(value, tp, name in minus_inf_ok):
+            kind = _KINDS.get(tp, f"of type {tp.__name__}")
+            kind += " or -inf" if name in minus_inf_ok else ""
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +70,7 @@ class Position3D:
     z: float
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.z < 0:
             raise ConfigError(f"height must be nonnegative, got z={self.z}")
 
@@ -56,7 +84,7 @@ class ArrayGeometry:
     element_spacing: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_ints(self, "vertical_count", "horizontal_count")
+        _check_types(self)
         if self.vertical_count < 1 or self.horizontal_count < 1:
             raise ConfigError("array counts must be positive")
         if self.element_spacing <= 0:
@@ -81,9 +109,9 @@ class RicianLinkParams:
     angular_spread_deg: float = 10.0
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.path_loss_exponent <= 0:
             raise ConfigError("path_loss_exponent must be positive")
-        _require_ints(self, "nlos_path_count")
         if self.nlos_path_count < 0:
             raise ConfigError("nlos_path_count must be nonnegative")
         if self.angular_spread_deg < 0:
@@ -92,8 +120,8 @@ class RicianLinkParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Whole scenario; building one (also by ``replace``) raises ConfigError
-    if any value is invalid, so every instance is valid."""
+    """Whole scenario; building one (also by ``replace``) checks every value's
+    type and range, nested configs included, so every instance is valid."""
 
     bs1_array: ArrayGeometry = ArrayGeometry(4, 4)
     bs2_array: ArrayGeometry = ArrayGeometry(4, 4)
@@ -123,7 +151,8 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        _require_ints(self, "users_per_cell", "num_drops", "seed")
+        """Raise ConfigError unless every value has its field's type and range."""
+        _check_types(self, "lambda_db")
         if self.users_per_cell < 1:
             raise ConfigError("users_per_cell must be >= 1")
         if self.num_drops < 1:
@@ -136,16 +165,6 @@ class ScenarioConfig:
             raise ConfigError("user_height must be nonnegative")
         if self.pathloss_ref_distance_m <= 0:
             raise ConfigError("pathloss_ref_distance_m must be positive")
-        if math.isnan(self.lambda_db) or self.lambda_db == math.inf:
-            raise ConfigError("lambda_db must be finite or -inf")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            parts = astuple(value) if is_dataclass(value) else value
-            if not isinstance(parts, tuple):
-                parts = (parts,)
-            bad = [v for v in parts if isinstance(v, float) and not math.isfinite(v)]
-            if bad and f.name != "lambda_db":
-                raise ConfigError(f"{f.name} must be finite, got {value}")
         # (name, dB value, zero allowed): a weight or Rician factor may be
         # 0 in linear scale, a power or the path-loss reference may not
         in_db = [
@@ -178,69 +197,55 @@ class ScenarioConfig:
         return 10.0 ** ((self.noise_dbm - 30.0) / 10.0)
 
 
-def _parse_float(text: str, key: str) -> float:
+def _parse_number(text: str, kind: type = float) -> float:
+    """One number of a config value; kind is float or int."""
     try:
-        return float(text)
+        return kind(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"expected {noun}, got {text.strip()!r}") from exc
 
 
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
-
-
-def _parse_numbers(text: str, key: str, form: str) -> list[float]:
+def _parse_numbers(text: str, form: str) -> list[float]:
     """Numbers of a comma list with as many entries as ``form`` (e.g. 'x,y,z')."""
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != form.count(",") + 1:
-        raise ConfigError(f"{key}: expected {form!r}, got {text!r}")
-    return [_parse_float(p, key) for p in parts]
+        raise ConfigError(f"expected {form!r}, got {text!r}")
+    return [_parse_number(p) for p in parts]
 
 
-def _parse_array(text: str, key: str) -> ArrayGeometry:
+def _parse_array(text: str) -> ArrayGeometry:
     body, at, spacing = text.partition("@")
     parts = body.lower().split("x")
     if len(parts) != 2:
-        raise ConfigError(f"{key}: expected 'VxH' or 'VxH@spacing', got {text!r}")
-    v = _parse_int(parts[0].strip(), key)
-    h = _parse_int(parts[1].strip(), key)
-    s = _parse_float(spacing.strip(), key) if at else 0.5
-    return ArrayGeometry(v, h, s)
+        raise ConfigError(f"expected 'VxH' or 'VxH@spacing', got {text!r}")
+    v, h = (_parse_number(p, int) for p in parts)
+    return ArrayGeometry(v, h, _parse_number(spacing) if at else 0.5)
 
 
-def _parse_link(text: str, key: str) -> RicianLinkParams:
-    parts = [p.strip() for p in text.split(",")]
+def _parse_link(text: str) -> RicianLinkParams:
+    parts = text.split(",")
     if len(parts) not in (3, 4):
-        raise ConfigError(
-            f"{key}: expected 'exponent,rician_db,paths[,spread_deg]', got {text!r}"
-        )
-    spread = [_parse_float(p, key) for p in parts[3:]]
-    return RicianLinkParams(
-        _parse_float(parts[0], key), _parse_float(parts[1], key), _parse_int(parts[2], key),
-        *spread,
-    )
+        raise ConfigError(f"expected 'exponent,rician_db,paths[,spread_deg]', got {text!r}")
+    exponent, rician_db, paths, *spread = parts
+    return RicianLinkParams(_parse_number(exponent), _parse_number(rician_db),
+                            _parse_number(paths, int), *map(_parse_number, spread))
 
 
 # one parser per declared field type; a key's syntax follows its field's type
 _TYPE_PARSERS = {
     ArrayGeometry: _parse_array,
-    Position3D: lambda text, key: Position3D(*_parse_numbers(text, key, "x,y,z")),
-    tuple[float, float]: lambda text, key: tuple(_parse_numbers(text, key, "x,y")),
+    Position3D: lambda text: Position3D(*_parse_numbers(text, "x,y,z")),
+    tuple[float, float]: lambda text: tuple(_parse_numbers(text, "x,y")),
     RicianLinkParams: _parse_link,
-    int: _parse_int,
-    float: _parse_float,
-}
-_FIELD_PARSERS = {
-    name: _TYPE_PARSERS[tp] for name, tp in get_type_hints(ScenarioConfig).items()
+    int: functools.partial(_parse_number, kind=int),
+    float: _parse_number,
 }
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Build a ScenarioConfig from flat key=value text over the defaults."""
-    overrides = {}
+    types, overrides = _field_types(ScenarioConfig), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -249,11 +254,14 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _FIELD_PARSERS:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ConfigError(f"line {lineno}: key {key!r} given twice")
-        overrides[key] = _FIELD_PARSERS[key](value.strip(), key)
+        try:
+            overrides[key] = _TYPE_PARSERS[types[key]](value.strip())
+        except ConfigError as exc:  # the parsers and nested configs do not name the key
+            raise ConfigError(f"{key}: {exc}") from exc
     return ScenarioConfig(**overrides)
 
 

@@ -33,7 +33,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -72,6 +72,12 @@ class Cell(Enum):
 class SweepParam(Enum):
     TRANSMIT_POWER_DBM = "txpower"
     LAMBDA_DB = "lambda"
+
+
+# the config field each sweep sets; a drop serves every config that differs
+# from its own in these fields only
+_SWEPT_FIELDS = {SweepParam.TRANSMIT_POWER_DBM: "p_t_dbm", SweepParam.LAMBDA_DB: "lambda_db"}
+_DROP_FIELDS = [f.name for f in fields(ScenarioConfig) if f.name not in _SWEPT_FIELDS.values()]
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,7 @@ class _Drop:
     ConvRis, RandRis and NoRis rates."""
 
     def __init__(self, cfg: ScenarioConfig, drop_seed: int) -> None:
+        self.cfg = cfg
         chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
         self.channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
         self.basis, self.K1, self.K2 = effective_channels(self.channels)
@@ -176,17 +183,18 @@ def run_drop(
     """One channel realization, all four schemes; returns (R1, R2) per scheme.
 
     shared holds the latest draw by its seed. A sweep passes one map to all
-    its calls, so values with the same seed reuse the draw and a new seed
-    replaces it. Nothing in a draw may depend on the weight, and only its
-    per-power entries on the transmit power. It runs on one BLAS thread.
+    its calls, so values with the same seed and a config that differs only in
+    lambda_db and p_t_dbm reuse the draw; any other call replaces it. Nothing
+    in a draw may depend on the weight, and only its per-power entries on the
+    transmit power. It runs on one BLAS thread.
     """
     if shared is None:
         shared = {}
     with _one_blas_thread():
-        if drop_seed not in shared:
+        drop = shared.get(drop_seed)
+        if drop is None or any(getattr(cfg, f) != getattr(drop.cfg, f) for f in _DROP_FIELDS):
             shared.clear()
-            shared[drop_seed] = _Drop(cfg, drop_seed)
-        drop = shared[drop_seed]
+            drop = shared[drop_seed] = _Drop(cfg, drop_seed)
         F2, fixed = drop.weight_free(cfg.transmit_power_w)
         proposed = drop.rates(drop.design(cfg.lambda_linear), cfg.transmit_power_w, F2)
     return {Scheme.PROPOSED: proposed, **fixed}
@@ -197,12 +205,6 @@ def drop_seed_for(seed: int, sweep_index: int, drop_index: int, crn: bool = Fals
     every sweep value reuses the same drops."""
     key = [seed, drop_index] if crn else [seed, sweep_index, drop_index]
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
-
-
-def _apply_sweep_value(cfg: ScenarioConfig, sweep: SweepParam, value: float) -> ScenarioConfig:
-    if sweep is SweepParam.TRANSMIT_POWER_DBM:
-        return replace(cfg, p_t_dbm=value)
-    return replace(cfg, lambda_db=value)
 
 
 def run_sweep(
@@ -220,7 +222,7 @@ def run_sweep(
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    cfgs = [_apply_sweep_value(cfg, sweep, float(value)) for value in values]
+    cfgs = [replace(cfg, **{_SWEPT_FIELDS[sweep]: float(value)}) for value in values]
     printed = [float(f"{float(value):.9g}") for value in values]
     dups = sorted({v for v in printed if printed.count(v) > 1})
     if dups:

@@ -28,15 +28,17 @@ from risbal import (
     SweepParam,
     balance_matrix,
     design_balanced,
+    design_eigen,
     gen_channel_set,
     p1_problem,
     rcg_minimize,
     retract_point,
+    run_drop,
     run_sweep,
     write_csv,
 )
 from risbal.manifold import unit_modulus_error
-from risbal.sim import Cell
+from risbal.sim import Cell, drop_seed_for
 
 
 def _pipeline_balance(seed, lam=100.0, cfg=None):
@@ -202,6 +204,49 @@ def test_power_sweep_no_ris_stays_above_conventional():
         + ", ".join(f"{g:.2f}" for g in gaps)
         + f"; {elapsed:.0f}s"
     )
+
+
+def test_design_quality_solve_keeps_what_it_buys():
+    # paired on 20 CRN drops of the suite's master seed: the Proposed design
+    # against design_eigen of the same core (its own warm start), both rated
+    # with the drop's F2. Measured at the default config: Cell2 +3.02 (SE
+    # 0.84, 17 of 20 drops positive) at 10 dB and +4.58 (SE 1.15, 20 of 20) at
+    # 20 dB; Cell1 +0.07 (SE 0.63) and +0.28 (SE 0.66). Floors leave a margin:
+    # three drops fewer, the mean less two SEs rounded down, and Cell1 within
+    # two SEs below zero.
+    # A solve stopped after one outer iteration keeps 9 of 20 and +0.98 at 20 dB.
+    start = time.perf_counter()
+    cfg = ScenarioConfig()
+    power = cfg.transmit_power_w
+
+    def warm_start_rates(drop, lam):
+        """(R1, R2) of design_eigen on the drop's core at linear weight lam."""
+        phi = design_eigen(balance_matrix(drop.K1, drop.K2, lam), drop.basis)
+        return np.array(drop.rates(phi, power, drop.weight_free(power)[0]))
+
+    floors = {10.0: (14, 1.0), 20.0: (17, 2.0)}  # weight dB: (drops with a gain, mean)
+    gains = {lam_db: [] for lam_db in (*floors, "ConvRis")}  # (Cell1, Cell2) per drop
+    for d in range(20):
+        seed, shared = drop_seed_for(20260810, 0, d, crn=True), {}
+        for lam_db in floors:
+            rates = run_drop(replace(cfg, lambda_db=lam_db), seed, shared)
+            warm = warm_start_rates(shared[seed], 10.0 ** (lam_db / 10.0))
+            gains[lam_db].append(rates[Scheme.PROPOSED] - warm)
+        gains["ConvRis"].append(rates[Scheme.CONV_RIS] - warm_start_rates(shared[seed], 0.0))
+    report = []
+    for lam_db, g in gains.items():
+        g = np.array(g)
+        mean, se = g.mean(axis=0), g.std(axis=0, ddof=1) / np.sqrt(len(g))
+        positive = int(np.count_nonzero(g[:, 1] > 0.0))
+        label = f"{lam_db:g} dB" if lam_db in floors else lam_db
+        report.append(f"{label}: Cell2 {mean[1]:+.2f} (se {se[1]:.2f}, {positive}/20 > 0), "
+                      f"Cell1 {mean[0]:+.2f} (se {se[0]:.2f})")
+        if lam_db in floors:
+            assert positive >= floors[lam_db][0], report[-1]
+            assert mean[1] >= floors[lam_db][1], report[-1]
+            assert mean[0] >= -2.0 * se[0], report[-1]
+    elapsed = time.perf_counter() - start
+    print(f"PASS design quality over the warm start: {'; '.join(report)}; {elapsed:.2f}s")
 
 
 def test_equivalence_and_information_barrier():

@@ -6,7 +6,7 @@ import sys
 import tempfile
 import threading
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from risbal import (
     slnr_beamformer,
     write_csv,
 )
+from risbal.config import _field_types
 from risbal.errors import ConfigError, NormalizationError, NumericalError
 from risbal.sim import Cell, SweepResult, drop_seed_for
 
@@ -208,6 +209,23 @@ def test_run_drop_no_ris_uses_direct_rows_only():
     assert res[Scheme.NO_RIS][1] == pytest.approx(
         evaluate(rows, F2, cs.noise_var).sum_rate, rel=1e-12
     )
+
+
+def test_run_drop_shares_a_drop_within_one_scenario_only():
+    # a reused map serves a config that differs only in the swept weight or
+    # power; any other field draws the drop anew
+    a = small_cfg()
+    for b in (replace(a, ris_array=ArrayGeometry(4, 4), users_per_cell=3),
+              replace(a, noise_dbm=-80.0)):
+        shared = {}
+        run_drop(a, 5, shared)
+        assert run_drop(b, 5, shared) == run_drop(b, 5)
+    shared = {}
+    run_drop(a, 5, shared)
+    drop = shared[5]
+    swept = replace(a, lambda_db=0.0, p_t_dbm=20.0)
+    assert run_drop(swept, 5, shared) == run_drop(swept, 5)
+    assert shared[5] is drop
 
 
 def test_zero_weight_proposed_equals_conventional():
@@ -524,13 +542,77 @@ def test_config_validation_rejects_degenerate_values():
         dict(theta_rad=math.inf),
         dict(cell1_radius=nan),
         dict(cell2_center=(75.0, nan)),
-        dict(ris_pos=Position3D(40.0, nan, 10.0)),
-        dict(ris_array=ArrayGeometry(2, 4, nan)),
-        dict(direct_link=RicianLinkParams(4.2, nan, 8)),
     ):
         with pytest.raises(ConfigError):
             replace(ScenarioConfig(), **bad)
+    # a nested config checks itself, so building it raises
+    for build in (
+        lambda: replace(ScenarioConfig(), ris_pos=Position3D(40.0, nan, 10.0)),
+        lambda: replace(ScenarioConfig(), ris_array=ArrayGeometry(2, 4, nan)),
+        lambda: replace(ScenarioConfig(), direct_link=RicianLinkParams(4.2, nan, 8)),
+    ):
+        with pytest.raises(ConfigError):
+            build()
     replace(ScenarioConfig(), lambda_db=-math.inf)
+
+
+_CONFIG_CLASSES = (ArrayGeometry, Position3D, RicianLinkParams, ScenarioConfig)
+# (class, field, declared type) of every field of every config class, from the
+# map the configs check themselves by, so a new field is covered without an edit
+_TYPED_FIELDS = [(cls, name, tp) for cls in _CONFIG_CLASSES for name, tp in _field_types(cls).items()]
+
+
+def _valid_instance(cls):
+    cfg = ScenarioConfig()
+    return {ArrayGeometry: cfg.ris_array, Position3D: cfg.ris_pos,
+            RicianLinkParams: cfg.direct_link, ScenarioConfig: cfg}[cls]
+
+
+def _wrong_typed(name, tp):
+    """Values a field of declared type tp rejects: other types, and numbers
+    that are not finite as a float."""
+    floats = st.floats(-1e3, 1e3)
+    wrong = [st.text(max_size=4), st.complex_numbers(), st.booleans(), st.just(np.bool_(True)),
+             st.none(), st.lists(floats, max_size=3), st.just(math.nan), st.just(np.float32("nan"))]
+    if tp is int:
+        wrong += [st.floats(), st.just(np.float64(2.0))]
+    elif tp is float:
+        wrong += [st.just(math.inf), st.just(10**400)]
+        if name != "lambda_db":  # the one field that may be -inf
+            wrong.append(st.just(-math.inf))
+    elif tp == tuple[float, float]:
+        wrong += [st.tuples(floats), st.tuples(floats, floats, floats),
+                  st.tuples(floats, st.just(math.nan)), st.tuples(floats, st.just(True))]
+    else:  # a nested config: its values, not an instance
+        wrong.append(st.just(astuple(_valid_instance(tp))))
+    return st.one_of(wrong)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_config_wrong_typed_value_is_config_error(data):
+    # every field of every config class, each with a value of a wrong type
+    for cls, name, tp in _TYPED_FIELDS:
+        bad = data.draw(_wrong_typed(name, tp), label=f"{cls.__name__}.{name}")
+        with pytest.raises(ConfigError, match=name):
+            replace(_valid_instance(cls), **{name: bad})
+
+
+def test_config_accepts_python_and_numpy_numbers():
+    for cls, name, tp in _TYPED_FIELDS:
+        base = _valid_instance(cls)
+        value = getattr(base, name)
+        if tp is int:
+            kinds = [int, np.int64, np.int32, np.uint16]
+        elif tp is float or tp == tuple[float, float]:
+            kinds = [float, np.float64, np.float32]
+            if np.all(np.mod(value, 1) == 0):  # a whole value may also be an integer
+                kinds += [int, np.int64]
+        else:
+            continue  # a nested config's fields are cases of their own
+        for kind in kinds:
+            v = tuple(map(kind, value)) if isinstance(value, tuple) else kind(value)
+            assert getattr(replace(base, **{name: v}), name) == v, (name, kind)
 
 
 def test_sweep_validates_each_value():
