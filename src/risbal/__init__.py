@@ -16,7 +16,6 @@ from .channel import (
     SteeringSpec,
     gen_channel_set,
     gen_rician_matrix,
-    los_angles,
     path_loss_linear,
     upa_steering,
 )

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ArrayGeometry, Position3D, RicianLinkParams, ScenarioConfig
+from .config import ArrayGeometry, RicianLinkParams, ScenarioConfig
 from .errors import GeometryError, NumericalError
 
 __all__ = [
     "SteeringSpec",
     "ChannelSet",
-    "los_angles",
     "upa_steering",
     "path_loss_linear",
     "gen_rician_matrix",
@@ -69,20 +68,6 @@ class ChannelSet:
     theta: float
 
 
-def los_angles(src: Position3D, dst: Position3D) -> tuple[float, float]:
-    """Azimuth and elevation of the straight path from src to dst, radians.
-
-    azimuth = atan2(dy, dx); elevation = atan2(dz, horizontal distance).
-    A purely vertical path has azimuth 0 by convention.
-    """
-    dx, dy, dz = dst.x - src.x, dst.y - src.y, dst.z - src.z
-    if dx == 0.0 and dy == 0.0 and dz == 0.0:
-        raise GeometryError("coincident points have no direction")
-    az = float(np.arctan2(dy, dx))
-    el = float(np.arctan2(dz, np.hypot(dx, dy)))
-    return az, el
-
-
 def upa_steering(az: float | np.ndarray, el: float | np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     """Planar-array response, row-major over (vertical p, horizontal q).
 
@@ -110,8 +95,9 @@ def path_loss_linear(
     if d0_m <= 0:
         raise ValueError("reference distance must be positive")
     if distance_m < d0_m:
+        # no distance in the text: the default filter then prints it once per call site
         warnings.warn(
-            f"distance {distance_m:.3g} m below reference {d0_m:.3g} m; clamping",
+            f"distance below reference {d0_m:.3g} m; clamping to it",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -188,20 +174,19 @@ def gen_rician_matrix(
 def _draw_disc_positions(
     center: tuple[float, float], radius: float, count: int, height: float,
     rng: np.random.Generator,
-) -> list[Position3D]:
-    """Uniform positions inside a disc at the given height."""
+) -> np.ndarray:
+    """Uniform positions inside a disc at the given height, one (x, y, z) row each."""
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return [
-        Position3D(center[0] + r * np.cos(a), center[1] + r * np.sin(a), height)
-        for r, a in zip(radii, angles)
-    ]
+    return np.column_stack((center[0] + radii * np.cos(angles),
+                            center[1] + radii * np.sin(angles), np.full(count, height)))
 
 
-def _distance(a: Position3D, b: Position3D) -> float:
-    # np.linalg.norm's sqrt(d . d) without its copies and checks: the same bits
-    d = np.array((a.x - b.x, a.y - b.y, a.z - b.z), dtype=float)
-    return math.sqrt(d.dot(d))
+def _los_angles(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth atan2(dy, dx) and elevation atan2(dz, hypot(dx, dy)), radians, of
+    each offset row (dx, dy, dz); a purely vertical path has azimuth 0 by convention."""
+    dx, dy, dz = offsets.T
+    return np.arctan2(dy, dx), np.arctan2(dz, np.hypot(dx, dy))
 
 
 def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> ChannelSet:
@@ -219,30 +204,35 @@ def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> Chann
     )
 
     c0, d0 = scenario.pathloss_ref_db, scenario.pathloss_ref_distance_m
-    ris, ris_geom, bs_ris = scenario.ris_pos, scenario.ris_array, scenario.bs_ris_link
+    bs1, bs2, ris = (np.array((p.x, p.y, p.z), dtype=float)
+                     for p in (scenario.bs1_pos, scenario.bs2_pos, scenario.ris_pos))
+    ris_geom, bs_ris = scenario.ris_array, scenario.bs_ris_link
 
     def links(
-        src: Position3D, src_geom: ArrayGeometry, dsts: list[Position3D],
+        src: np.ndarray, src_geom: ArrayGeometry, dsts: np.ndarray,
         dst_geom: ArrayGeometry | None, link: RicianLinkParams, stream,
     ) -> np.ndarray:
-        """Channels (len(dsts), rx size, tx size) from src to each of dsts;
-        dst_geom=None is a single-antenna receiver."""
-        pl = [path_loss_linear(_distance(src, d), link.path_loss_exponent, c0, d0) for d in dsts]
-        tx_spec = SteeringSpec(src_geom, *np.array([los_angles(src, d) for d in dsts]).T)
-        rx_spec = None if dst_geom is None else SteeringSpec(
-            dst_geom, *np.array([los_angles(d, src) for d in dsts]).T
-        )
+        """Channels (n, rx size, tx size) from the point src (3,) to each row
+        of dsts (n, 3); dst_geom=None is a single-antenna receiver, whose row
+        h^H = c Tx^H is returned as the column vector h, shape (n, tx size)."""
+        # src - dst, not -(dst - src): equal coordinates give +0.0 (azimuth 0), not -0.0 (pi)
+        forward, backward = dsts - src, src - dsts
+        if not forward.any(axis=1).all():
+            raise GeometryError("coincident points have no direction")
+        # np.linalg.norm's distance to the bit; the row-wise forms round differently
+        pl = [path_loss_linear(math.sqrt(d @ d), link.path_loss_exponent, c0, d0) for d in backward]
+        tx_spec = SteeringSpec(src_geom, *_los_angles(forward))
+        if dst_geom is None:
+            return gen_rician_matrix(tx_spec, None, link, pl, stream)[:, 0, :].conj()
+        rx_spec = SteeringSpec(dst_geom, *_los_angles(backward))
         return gen_rician_matrix(tx_spec, rx_spec, link, pl, stream)
 
-    # a user's row h^H = c Tx^H is (1, size); store the column vector h
     return ChannelSet(
-        G1=links(scenario.bs1_pos, scenario.bs1_array, [ris], ris_geom, bs_ris, s_g1)[0],
-        G2=links(scenario.bs2_pos, scenario.bs2_array, [ris], ris_geom, bs_ris, s_g2)[0],
-        h_r1=links(ris, ris_geom, users1, None, scenario.ris_user_link, s_hr1)[:, 0, :].conj(),
-        h_r2=links(ris, ris_geom, users2, None, scenario.ris_user_link, s_hr2)[:, 0, :].conj(),
-        h_d2=links(
-            scenario.bs2_pos, scenario.bs2_array, users2, None, scenario.direct_link, s_hd2
-        )[:, 0, :].conj(),
+        G1=links(bs1, scenario.bs1_array, ris[None], ris_geom, bs_ris, s_g1)[0],
+        G2=links(bs2, scenario.bs2_array, ris[None], ris_geom, bs_ris, s_g2)[0],
+        h_r1=links(ris, ris_geom, users1, None, scenario.ris_user_link, s_hr1),
+        h_r2=links(ris, ris_geom, users2, None, scenario.ris_user_link, s_hr2),
+        h_d2=links(bs2, scenario.bs2_array, users2, None, scenario.direct_link, s_hd2),
         noise_var=scenario.noise_var_w,
         theta=scenario.theta_rad,
     )

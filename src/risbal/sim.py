@@ -19,7 +19,9 @@ power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
 a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
 sweep computes only its Proposed design and rates.
 A drop runs on one BLAS thread, so the CSV does not depend on
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; without OpenBLAS this is a no-op.
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. This is a no-op where no loaded
+OpenBLAS exports openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS
+before 0.3.27); there the CSV bytes at M = 512 can depend on those variables.
 """
 
 from __future__ import annotations
@@ -295,8 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
                "drop index runs every sweep value in turn, and values that share a "
                "drop (all of them with --crn) draw its channels and designs once. "
                "A drop runs on one BLAS thread, so the CSV does not depend on "
-               "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; without OpenBLAS this is "
-               "a no-op.",
+               "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. This is a no-op where no "
+               "loaded OpenBLAS exports openblas_set_num_threads_local (MKL, "
+               "Accelerate, OpenBLAS before 0.3.27); there the CSV bytes at M = 512 "
+               "can depend on those variables.",
     )
     parser.add_argument("--config", help="scenario config file (defaults used if omitted)")
     parser.add_argument(

@@ -1,5 +1,7 @@
 """Shared helpers: random problem instances and brute-force oracles."""
 
+import math
+
 import numpy as np
 
 from risbal import (
@@ -8,11 +10,9 @@ from risbal import (
     ScenarioConfig,
     SteeringSpec,
     effective_channels,
-    los_angles,
     path_loss_linear,
     upa_steering,
 )
-from risbal.channel import _distance, _draw_disc_positions
 from risbal.errors import DimensionError
 
 
@@ -87,43 +87,61 @@ def rician_matrix_loop(tx_spec, rx_spec, params, pl_gain, rng):
     return np.sqrt(pl_gain) * H
 
 
+def disc_positions_loop(center, radius, count, height, rng):
+    """Reference user draw: every radius, then every angle, from rng; one
+    (x, y, z) tuple per user."""
+    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return [(center[0] + r * math.cos(a), center[1] + r * math.sin(a), height)
+            for r, a in zip(radii, angles)]
+
+
+def los_angles_loop(src, dst):
+    """Reference azimuth atan2(dy, dx) and elevation atan2(dz, hypot(dx, dy))
+    of the path from the point src to the point dst."""
+    dx, dy, dz = (b - a for a, b in zip(src, dst))
+    return math.atan2(dy, dx), math.atan2(dz, math.hypot(dx, dy))
+
+
 def channel_set_loop(scenario, streams):
     """Reference gen_channel_set on its seven child streams (positions of
     cells 1 and 2, G1, G2, h_r1, h_r2, h_d2), link by link and user by user
-    with rician_matrix_loop."""
+    with rician_matrix_loop, from positions as tuples of floats."""
     s_pos1, s_pos2, s_g1, s_g2, s_hr1, s_hr2, s_hd2 = streams
     K = scenario.users_per_cell
-    users1 = _draw_disc_positions(
+    users1 = disc_positions_loop(
         scenario.cell1_center, scenario.cell1_radius, K, scenario.user_height, s_pos1
     )
-    users2 = _draw_disc_positions(
+    users2 = disc_positions_loop(
         scenario.cell2_center, scenario.cell2_radius, K, scenario.user_height, s_pos2
     )
-    ris, ris_geom = scenario.ris_pos, scenario.ris_array
+    bs1, bs2, ris = ((p.x, p.y, p.z)
+                     for p in (scenario.bs1_pos, scenario.bs2_pos, scenario.ris_pos))
+    ris_geom = scenario.ris_array
 
     def pl(a, b, link):
-        return path_loss_linear(_distance(a, b), link.path_loss_exponent,
+        return path_loss_linear(math.dist(a, b), link.path_loss_exponent,
                                 scenario.pathloss_ref_db, scenario.pathloss_ref_distance_m)
 
     def bs_to_ris(bs_pos, bs_geom, stream):
         link = scenario.bs_ris_link
-        return rician_matrix_loop(SteeringSpec(bs_geom, *los_angles(bs_pos, ris)),
-                                  SteeringSpec(ris_geom, *los_angles(ris, bs_pos)),
+        return rician_matrix_loop(SteeringSpec(bs_geom, *los_angles_loop(bs_pos, ris)),
+                                  SteeringSpec(ris_geom, *los_angles_loop(ris, bs_pos)),
                                   link, pl(bs_pos, ris, link), stream)
 
     def to_users(src, geom, link, users, stream):
         return np.stack([
-            np.conj(rician_matrix_loop(SteeringSpec(geom, *los_angles(src, user)), None,
+            np.conj(rician_matrix_loop(SteeringSpec(geom, *los_angles_loop(src, user)), None,
                                        link, pl(src, user, link), stream)[0])
             for user in users
         ])
 
     return ChannelSet(
-        G1=bs_to_ris(scenario.bs1_pos, scenario.bs1_array, s_g1),
-        G2=bs_to_ris(scenario.bs2_pos, scenario.bs2_array, s_g2),
+        G1=bs_to_ris(bs1, scenario.bs1_array, s_g1),
+        G2=bs_to_ris(bs2, scenario.bs2_array, s_g2),
         h_r1=to_users(ris, ris_geom, scenario.ris_user_link, users1, s_hr1),
         h_r2=to_users(ris, ris_geom, scenario.ris_user_link, users2, s_hr2),
-        h_d2=to_users(scenario.bs2_pos, scenario.bs2_array, scenario.direct_link, users2, s_hd2),
+        h_d2=to_users(bs2, scenario.bs2_array, scenario.direct_link, users2, s_hd2),
         noise_var=scenario.noise_var_w,
         theta=scenario.theta_rad,
     )

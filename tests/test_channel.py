@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import channel_set_loop, rician_matrix_loop
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import risbal.channel
 from risbal import (
     ArrayGeometry,
     Position3D,
@@ -12,36 +15,53 @@ from risbal import (
     SteeringSpec,
     gen_channel_set,
     gen_rician_matrix,
-    los_angles,
     path_loss_linear,
     upa_steering,
 )
-from risbal.channel import _distance
-from risbal.errors import GeometryError, NumericalError
+from risbal.channel import _los_angles
+from risbal.errors import NumericalError
 
 
 # -------------------------------------------------------------------- angles
 
+def _angles(src, dst):
+    """_los_angles of the one path from the point src to the point dst, as floats."""
+    az, el = _los_angles(np.array([dst], dtype=float) - np.array(src, dtype=float))
+    return float(az[0]), float(el[0])
+
+
 def test_los_angles_on_axis():
-    az, el = los_angles(Position3D(0, 0, 0), Position3D(1, 0, 0))
+    az, el = _angles((0, 0, 0), (1, 0, 0))
     assert az == 0.0 and el == 0.0
 
 
 def test_los_angles_vertical_convention():
-    az, el = los_angles(Position3D(0, 0, 0), Position3D(0, 0, 1))
+    az, el = _angles((0, 0, 0), (0, 0, 1))
     assert az == 0.0
     assert el == pytest.approx(np.pi / 2)
 
 
 def test_los_angles_hand_trigonometry():
-    az, el = los_angles(Position3D(0, 0, 15), Position3D(30, 40, 1))
+    az, el = _angles((0, 0, 15), (30, 40, 1))
     assert az == pytest.approx(np.arctan2(40, 30))      # ~0.9273
     assert el == pytest.approx(np.arctan2(-14, 50))     # ~-0.2730
 
 
-def test_los_angles_coincident_raises():
-    with pytest.raises(GeometryError):
-        los_angles(Position3D(1, 2, 3), Position3D(1, 2, 3))
+def test_vertical_link_has_azimuth_zero_at_both_ends(monkeypatch):
+    # the surface straight above BS1: the offsets at the surface end must be
+    # formed as src - dst, since -(dst - src) is -0.0 there and atan2 gives -pi
+    specs = []
+
+    def recording(tx_spec, rx_spec, *args):
+        specs.append((tx_spec, rx_spec))
+        return gen_rician_matrix(tx_spec, rx_spec, *args)
+
+    monkeypatch.setattr(risbal.channel, "gen_rician_matrix", recording)
+    cfg = ScenarioConfig(bs1_pos=Position3D(40.0, 25.0, 15.0), ris_pos=Position3D(40.0, 25.0, 10.0))
+    gen_channel_set(cfg, np.random.default_rng(0))
+    tx_spec, rx_spec = specs[0]  # G1
+    assert tx_spec.azimuth[0] == 0.0 and rx_spec.azimuth[0] == 0.0
+    assert tx_spec.elevation[0] == -np.pi / 2 and rx_spec.elevation[0] == np.pi / 2
 
 
 _coord = st.one_of(st.integers(-10_000, 10_000), st.floats(-1e4, 1e4))
@@ -51,10 +71,22 @@ _height = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
 @settings(max_examples=200, deadline=None)
 @given(_coord, _coord, _height, _coord, _coord, _height)
 def test_distance_equals_norm_to_the_bit(ax, ay, az, bx, by, bz):
-    # path-loss gains depend on positions only through this distance
+    # path-loss gains depend on positions only through the distance that
+    # gen_channel_set hands path_loss_linear; BS1 at a, the surface at b
     a, b = Position3D(ax, ay, az), Position3D(bx, by, bz)
+    assume(a != b)
+    distances = []
+
+    def recording(distance_m, *args):
+        distances.append(distance_m)
+        return 1e-3
+
+    cfg = ScenarioConfig(bs1_pos=a, ris_pos=b, bs1_array=ArrayGeometry(1, 1),
+                         bs2_array=ArrayGeometry(1, 1), ris_array=ArrayGeometry(1, 2))
+    with mock.patch.object(risbal.channel, "path_loss_linear", recording):
+        gen_channel_set(cfg, np.random.default_rng(0))
     d = np.array([a.x, a.y, a.z], dtype=float) - np.array([b.x, b.y, b.z], dtype=float)
-    assert _distance(a, b) == float(np.linalg.norm(d))
+    assert distances[0] == float(np.linalg.norm(d))  # G1
 
 
 # ------------------------------------------------------------------ steering

@@ -753,6 +753,35 @@ def test_cli_overflowing_gain_norm_prints_one_line(tmp_path, pathloss_ref_db):
     assert not out.exists()
 
 
+def test_cli_clamped_distances_warn_once(tmp_path):
+    # every link is shorter than the reference distance; the warning's text
+    # names no distance, so the default filter prints it once per run
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text(CFG_TEXT + "pathloss_ref_distance_m = 1000\n")
+    out = tmp_path / "x.csv"
+    proc = _run_python(
+        "-m", "risbal", "--config", str(cfg_file), "--sweep", "lambda",
+        "--values", "0,20", "--drops", "20", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("RuntimeWarning") == 1, proc.stderr
+
+
+def test_cli_coincident_nodes_exit_2_with_one_line(tmp_path):
+    # BS1 on the surface: the coincidence is reported before any path loss
+    # is clamped, so no warning precedes the exit-2 message
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text(CFG_TEXT + "bs1_pos = 40,25,10\nris_pos = 40,25,10\n")
+    out = tmp_path / "x.csv"
+    proc = _run_python(
+        "-m", "risbal", "--config", str(cfg_file), "--sweep", "lambda",
+        "--values", "20", "--drops", "1", "--out", str(out),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "risbal: config error: coincident points have no direction\n"
+    assert not out.exists()
+
+
 def test_cli_seed_flag_overrides(tmp_path):
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text(CFG_TEXT)
