@@ -19,11 +19,11 @@ __all__ = ["composite_cell1", "composite_cell2", "slnr_beamformer"]
 
 
 def _reflected(phi: np.ndarray, h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Rows phi^H diag(h^H) G == (conj(phi) * conj(h))^T G, one per user row of h_r."""
+    """Rows phi^H diag(h_k^H) G == (conj(phi) * h_k^H) G, one per user row h_k^H of h_r."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (G.shape[0],):
         raise DimensionError(f"phi has {phi.size} entries, surface has {G.shape[0]}")
-    return (np.conj(phi)[None, :] * np.conj(h_r)) @ G
+    return (np.conj(phi) * h_r) @ G
 
 
 def composite_cell1(phi: np.ndarray, channels: ChannelSet) -> np.ndarray:
@@ -34,7 +34,7 @@ def composite_cell1(phi: np.ndarray, channels: ChannelSet) -> np.ndarray:
 def composite_cell2(phi: np.ndarray, channels: ChannelSet) -> np.ndarray:
     """Rows h_d^H + e^{j theta} phi^H A_2k for every cell-2 user, shape (K2, N2)."""
     reflected = _reflected(phi, channels.h_r2, channels.G2)
-    return np.conj(channels.h_d2) + np.exp(1j * channels.theta) * reflected
+    return channels.h_d2 + np.exp(1j * channels.theta) * reflected
 
 
 def slnr_beamformer(rows: np.ndarray, power_budget: float, noise_var: float) -> np.ndarray:

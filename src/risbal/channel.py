@@ -52,9 +52,9 @@ class ChannelSet:
 
     G1 : (M, N1) BS1 -> RIS
     G2 : (M, N2) BS2 -> RIS
-    h_r1 : (K1, M) RIS -> cell-1 users, one channel vector per row
-    h_r2 : (K2, M) RIS -> cell-2 users
-    h_d2 : (K2, N2) BS2 -> cell-2 users direct
+    h_r1 : (K1, M) RIS -> cell-1 users; row k is user k's channel h_k^H, as drawn
+    h_r2 : (K2, M) RIS -> cell-2 users, rows likewise
+    h_d2 : (K2, N2) BS2 -> cell-2 users direct, rows likewise
     noise_var : receiver noise power, the same in both cells
     theta : constant phase offset the surface applies in cell 2's band
     """
@@ -163,12 +163,10 @@ def gen_rician_matrix(
         return upa_steering(np.concatenate([az, az + offsets[..., 0]], axis=-1),
                             np.concatenate([el, el + offsets[..., 1]], axis=-1), spec.geom)
 
-    tx = responses(tx_spec, offsets[..., -2:])
-    if rx_spec is None:
-        # as conj(conj(c) Tx), so a user's vector conj(H) is conj(c) Tx to the bit
-        return (c.conj()[..., None, :] @ tx).conj()
-    rx = responses(rx_spec, offsets[..., :2])
-    return (np.swapaxes(rx, -1, -2) * c[..., None, :]) @ tx.conj()
+    left = c[..., None, :]  # Rx diag(c), with Rx = 1 for a single-antenna receiver
+    if rx_spec is not None:
+        left = np.swapaxes(responses(rx_spec, offsets[..., :2]), -1, -2) * left
+    return left @ responses(tx_spec, offsets[..., -2:]).conj()
 
 
 def _draw_disc_positions(
@@ -213,26 +211,25 @@ def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> Chann
         dst_geom: ArrayGeometry | None, link: RicianLinkParams, stream,
     ) -> np.ndarray:
         """Channels (n, rx size, tx size) from the point src (3,) to each row
-        of dsts (n, 3); dst_geom=None is a single-antenna receiver, whose row
-        h^H = c Tx^H is returned as the column vector h, shape (n, tx size)."""
-        # src - dst, not -(dst - src): equal coordinates give +0.0 (azimuth 0), not -0.0 (pi)
-        forward, backward = dsts - src, src - dsts
-        if not forward.any(axis=1).all():
-            raise GeometryError("coincident points have no direction")
-        # np.linalg.norm's distance to the bit; the row-wise forms round differently
-        pl = [path_loss_linear(math.sqrt(d @ d), link.path_loss_exponent, c0, d0) for d in backward]
+        of dsts (n, 3), as drawn; dst_geom=None is a single-antenna receiver."""
+        with np.errstate(over="ignore"):  # path_loss_linear reports an inf distance
+            # src - dst, not -(dst - src): equal coordinates give +0.0 (azimuth 0), not -0.0 (pi)
+            forward, backward = dsts - src, src - dsts
+            if not forward.any(axis=1).all():
+                raise GeometryError("coincident points have no direction")
+            # np.linalg.norm's distance to the bit; the row-wise forms round differently
+            distances = [math.sqrt(d @ d) for d in backward]
+        pl = [path_loss_linear(d, link.path_loss_exponent, c0, d0) for d in distances]
         tx_spec = SteeringSpec(src_geom, *_los_angles(forward))
-        if dst_geom is None:
-            return gen_rician_matrix(tx_spec, None, link, pl, stream)[:, 0, :].conj()
-        rx_spec = SteeringSpec(dst_geom, *_los_angles(backward))
+        rx_spec = None if dst_geom is None else SteeringSpec(dst_geom, *_los_angles(backward))
         return gen_rician_matrix(tx_spec, rx_spec, link, pl, stream)
 
     return ChannelSet(
         G1=links(bs1, scenario.bs1_array, ris[None], ris_geom, bs_ris, s_g1)[0],
         G2=links(bs2, scenario.bs2_array, ris[None], ris_geom, bs_ris, s_g2)[0],
-        h_r1=links(ris, ris_geom, users1, None, scenario.ris_user_link, s_hr1),
-        h_r2=links(ris, ris_geom, users2, None, scenario.ris_user_link, s_hr2),
-        h_d2=links(bs2, scenario.bs2_array, users2, None, scenario.direct_link, s_hd2),
+        h_r1=links(ris, ris_geom, users1, None, scenario.ris_user_link, s_hr1)[:, 0],
+        h_r2=links(ris, ris_geom, users2, None, scenario.ris_user_link, s_hr2)[:, 0],
+        h_d2=links(bs2, scenario.bs2_array, users2, None, scenario.direct_link, s_hd2)[:, 0],
         noise_var=scenario.noise_var_w,
         theta=scenario.theta_rad,
     )

@@ -209,8 +209,10 @@ def rcg_minimize(
             converged = ConvergedBy.TRUST_REGION
             break
 
-        eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
-        predicted = -(_inner(g, eta) + 0.5 * _inner(eta, h_eta))
+        # a Hessian product that overflows is reported by the check below, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+            predicted = -(_inner(g, eta) + 0.5 * _inner(eta, h_eta))
         if not math.isfinite(predicted):
             raise NumericalError("Hessian product returned non-finite values")
         cand = phi + iphi * eta

@@ -9,7 +9,7 @@ with the Riemannian trust-region solver; an eigenvector-rounding shortcut and
 uniform random phases serve as baselines.
 
 Every step takes and returns plain arrays. Each Gram total is B_i B_i^H,
-whose factor B_i stacks the columns diag(conj h_k) g over a basis g of G_i's
+whose factor B_i stacks the columns diag(h_k^H) g over a basis g of G_i's
 range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far fewer columns
 than M. effective_channels takes, once per drop, the Householder QR
 [B_1 B_2] = U T; U (M, r), r = min(M, c) for c columns, is orthonormal at any
@@ -56,12 +56,12 @@ def _gram_factor(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
     """B with B B^H = sum_k A_k A_k^H, from G's numerical range.
 
     With G = W S X^H truncated at its rank q, G G^H = (W S)(W S)^H, so the
-    columns conj(h_r[k]) * (W S)[:, j] serve; q <= paths + 1 keeps B narrow.
+    columns h_r[k] * (W S)[:, j] serve; q <= paths + 1 keeps B narrow.
     """
     W, s, _ = np.linalg.svd(G, full_matrices=False)
     q = _numerical_rank(s, G.shape)
     F = W[:, :q] * s[:q]
-    return (h_r.conj().T[:, :, None] * F[:, None, :]).reshape(G.shape[0], -1)
+    return (h_r.T[:, :, None] * F[:, None, :]).reshape(G.shape[0], -1)
 
 
 def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

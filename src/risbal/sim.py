@@ -166,13 +166,12 @@ class _Drop:
         """F2 and the rates of every scheme but Proposed at power, on first use."""
         if power not in self.per_power:
             noise = self.channels.noise_var
-            direct_rows = np.conj(self.channels.h_d2)
-            F2 = slnr_beamformer(direct_rows, power, noise)
+            F2 = slnr_beamformer(self.channels.h_d2, power, noise)
             self.per_power[power] = F2, {
                 Scheme.CONV_RIS: self.rates(self.design(0.0), power, F2),
                 Scheme.RAND_RIS: self.rates(self.phi_rand, power, F2),
                 # cell 1 is fully blocked without the surface
-                Scheme.NO_RIS: (0.0, evaluate(direct_rows, F2, noise).sum_rate),
+                Scheme.NO_RIS: (0.0, evaluate(self.channels.h_d2, F2, noise).sum_rate),
             }
         return self.per_power[power]
 

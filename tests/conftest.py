@@ -50,9 +50,9 @@ def quadform(phi, R):
     return float(np.real(np.vdot(phi, R @ phi)))
 
 
-def cascade(h_r, G):
-    """Cascaded matrix diag(h_r^H) G, i.e. A[m, n] = conj(h_r[m]) G[m, n]."""
-    return np.conj(h_r)[:, None] * G
+def cascade(row, G):
+    """Cascaded matrix diag(h^H) G of a user's row h^H, i.e. A[m, n] = row[m] G[m, n]."""
+    return row[:, None] * G
 
 
 def rician_matrix_loop(tx_spec, rx_spec, params, pl_gain, rng):
@@ -131,8 +131,8 @@ def channel_set_loop(scenario, streams):
 
     def to_users(src, geom, link, users, stream):
         return np.stack([
-            np.conj(rician_matrix_loop(SteeringSpec(geom, *los_angles_loop(src, user)), None,
-                                       link, pl(src, user, link), stream)[0])
+            rician_matrix_loop(SteeringSpec(geom, *los_angles_loop(src, user)), None,
+                               link, pl(src, user, link), stream)[0]
             for user in users
         ])
 

@@ -259,10 +259,9 @@ def test_equivalence_and_information_barrier():
 
     base = ScenarioConfig()
     cs = gen_channel_set(base, np.random.default_rng(11))
-    rows = np.conj(cs.h_d2)
-    f_full = slnr_beamformer(rows, base.transmit_power_w, cs.noise_var)
+    f_full = slnr_beamformer(cs.h_d2, base.transmit_power_w, cs.noise_var)
     cs_blind = replace(cs, G2=np.zeros_like(cs.G2), h_r2=np.zeros_like(cs.h_r2))
-    f_blind = slnr_beamformer(np.conj(cs_blind.h_d2), base.transmit_power_w, cs_blind.noise_var)
+    f_blind = slnr_beamformer(cs_blind.h_d2, base.transmit_power_w, cs_blind.noise_var)
     np.testing.assert_array_equal(f_full, f_blind)
     print("PASS equivalence: zero-weight design identical to ConvRis; BS2 precoder blind to surface fields")
 

@@ -29,7 +29,7 @@ def test_composite_cell1_matches_dense_reflection_matrix():
     rows = composite_cell1(phi, cs)
     Phi = np.diag(np.conj(phi))  # dense reflection-coefficient matrix
     for k in range(cs.h_r1.shape[0]):
-        dense = np.conj(cs.h_r1[k]) @ Phi @ cs.G1
+        dense = cs.h_r1[k] @ Phi @ cs.G1
         np.testing.assert_allclose(rows[k], dense, atol=1e-10)
 
 
@@ -37,7 +37,7 @@ def test_composite_cell1_identity_reflection():
     cs = _channels(3)
     rows = composite_cell1(np.ones(cs.G1.shape[0], dtype=complex), cs)
     for k in range(cs.h_r1.shape[0]):
-        np.testing.assert_allclose(rows[k], np.conj(cs.h_r1[k]) @ cs.G1, atol=1e-10)
+        np.testing.assert_allclose(rows[k], cs.h_r1[k] @ cs.G1, atol=1e-10)
 
 
 def test_composite_cell1_scalar_surface():
@@ -49,7 +49,7 @@ def test_composite_cell1_scalar_surface():
     phi = np.array([np.exp(0.4j)])
     rows = composite_cell1(phi, cs)
     for k in range(cfg.users_per_cell):
-        expected = np.conj(phi[0]) * np.conj(cs.h_r1[k, 0]) * cs.G1[0]
+        expected = np.conj(phi[0]) * cs.h_r1[k, 0] * cs.G1[0]
         np.testing.assert_allclose(rows[k], expected, atol=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_composite_cell2_dense_check_with_offset():
     rows = composite_cell2(phi, cs)
     Phi = np.diag(np.conj(phi))
     for k in range(cs.h_r2.shape[0]):
-        dense = np.conj(cs.h_d2[k]) + np.exp(1j * cs.theta) * (np.conj(cs.h_r2[k]) @ Phi @ cs.G2)
+        dense = cs.h_d2[k] + np.exp(1j * cs.theta) * (cs.h_r2[k] @ Phi @ cs.G2)
         np.testing.assert_allclose(rows[k], dense, atol=1e-10)
 
 
@@ -73,7 +73,7 @@ def test_composite_cell2_nulled_surface_leaves_direct_link():
     rng = np.random.default_rng(8)
     phi = random_phi(cs.G2.shape[0], rng)
     rows = composite_cell2(phi, cs_nulled)
-    np.testing.assert_allclose(rows, np.conj(cs.h_d2), atol=1e-12)
+    np.testing.assert_allclose(rows, cs.h_d2, atol=1e-12)
 
 
 def test_composite_cell2_reduces_to_cell1_formula():

@@ -204,10 +204,9 @@ def test_run_drop_no_ris_uses_direct_rows_only():
     cs = gen_channel_set(cfg, np.random.default_rng(chan_ss))
     from risbal import evaluate
 
-    rows = np.conj(cs.h_d2)
-    F2 = slnr_beamformer(rows, cfg.transmit_power_w, cs.noise_var)
+    F2 = slnr_beamformer(cs.h_d2, cfg.transmit_power_w, cs.noise_var)
     assert res[Scheme.NO_RIS][1] == pytest.approx(
-        evaluate(rows, F2, cs.noise_var).sum_rate, rel=1e-12
+        evaluate(cs.h_d2, F2, cs.noise_var).sum_rate, rel=1e-12
     )
 
 
@@ -256,11 +255,9 @@ def test_bs2_information_barrier():
     # surface-side fields cannot change it
     cfg = small_cfg()
     cs = gen_channel_set(cfg, np.random.default_rng(9))
-    rows = np.conj(cs.h_d2)
-    f_full = slnr_beamformer(rows, cfg.transmit_power_w, cs.noise_var)
+    f_full = slnr_beamformer(cs.h_d2, cfg.transmit_power_w, cs.noise_var)
     cs_blind = replace(cs, G2=np.zeros_like(cs.G2), h_r2=np.zeros_like(cs.h_r2))
-    rows_blind = np.conj(cs_blind.h_d2)
-    f_blind = slnr_beamformer(rows_blind, cfg.transmit_power_w, cs_blind.noise_var)
+    f_blind = slnr_beamformer(cs_blind.h_d2, cfg.transmit_power_w, cs_blind.noise_var)
     np.testing.assert_array_equal(f_full, f_blind)
 
 
@@ -753,6 +750,30 @@ def test_cli_overflowing_gain_norm_prints_one_line(tmp_path, pathloss_ref_db):
     assert not out.exists()
 
 
+_INF_DISTANCE = "path-loss gain 0 at inf m is not in (0, inf)"
+
+
+@pytest.mark.parametrize("lines, value, message", [
+    ("ris_pos = 1e200,25,10", "20", _INF_DISTANCE),  # the squared distance overflows
+    ("cell1_radius = 1e300", "20", _INF_DISTANCE),
+    ("bs1_pos = 1e308,0,15\nris_pos = -1e308,25,10", "20", _INF_DISTANCE),  # the offset overflows
+    ("", "2000", "Hessian product returned non-finite values"),  # Hessian products overflow
+], ids=["far-surface", "huge-cell", "offset-overflow", "huge-weight"])
+def test_cli_overflow_exits_3_with_one_line(tmp_path, lines, value, message):
+    # the overflow is reported by the exit-3 message alone, without numpy's
+    # floating-point warnings ahead of it
+    cfg_file = tmp_path / "scenario.cfg"
+    cfg_file.write_text(CFG_TEXT + lines + "\n")
+    out = tmp_path / "x.csv"
+    proc = _run_python(
+        "-m", "risbal", "--config", str(cfg_file), "--sweep", "lambda",
+        "--values", value, "--drops", "1", "--out", str(out),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"risbal: numerical failure: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_clamped_distances_warn_once(tmp_path):
     # every link is shorter than the reference distance; the warning's text
     # names no distance, so the default filter prints it once per run
@@ -921,14 +942,18 @@ def test_cli_large_weight_runs(tmp_path):
 
 def _run_cli_expect_contract(cfg_text, sweep, value):
     """Run one single-drop sweep value on cfg_text; the CLI must return 0
-    with finite rows, or 2/3 without writing a CSV."""
+    with finite rows, or 2/3 without writing a CSV, and print no numpy
+    floating-point warning."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_file = os.path.join(tmp, "scenario.cfg")
         out = os.path.join(tmp, "out.csv")
         with open(cfg_file, "w") as fh:
             fh.write(cfg_text)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # the documented clamp warning may print; a numpy floating-point
+            # warning would print ahead of the exit line, so it fails the run
+            warnings.filterwarnings("error", ".*encountered in", RuntimeWarning)
+            warnings.filterwarnings("ignore", "distance below reference", RuntimeWarning)
             code = cli_main([
                 "--config", cfg_file, "--sweep", sweep, f"--values={value!r}",
                 "--drops", "1", "--out", out,
