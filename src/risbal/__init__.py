@@ -36,6 +36,7 @@ from .manifold import (
 )
 from .metrics import RateReport, evaluate
 from .ris_design import (
+    GramFactor,
     balance_matrix,
     design_balanced,
     design_eigen,

@@ -12,7 +12,9 @@ the reflecting-surface size. One builder, gen_rician_matrix, draws every
 family as a batch of links: G1 and G2 as batches of one, the users of a
 family as single-antenna links. It reads its stream link by link and path by
 path (rx offsets, tx offsets, two gain normals), then forms each side's path
-responses in one upa_steering call and every link as Rx diag(c) Tx^H.
+responses in one upa_steering call and every link as Rx diag(c) Tx^H. A link
+to a surface also gets its range factor, with at most L + 1 columns, which
+the design builds its Gram totals from.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ class ChannelSet:
 
     G1 : (M, N1) BS1 -> RIS
     G2 : (M, N2) BS2 -> RIS
+    G1_range : (M, q1) range factor of G1, G1_range G1_range^H = G1 G1^H with
+        q1 = min(N1, L + 1) columns (see gen_rician_matrix)
+    G2_range : (M, q2) range factor of G2, likewise
     h_r1 : (K1, M) RIS -> cell-1 users; row k is user k's channel h_k^H, as drawn
     h_r2 : (K2, M) RIS -> cell-2 users, rows likewise
     h_d2 : (K2, N2) BS2 -> cell-2 users direct, rows likewise
@@ -61,6 +66,8 @@ class ChannelSet:
 
     G1: np.ndarray
     G2: np.ndarray
+    G1_range: np.ndarray
+    G2_range: np.ndarray
     h_r1: np.ndarray
     h_r2: np.ndarray
     h_d2: np.ndarray
@@ -119,8 +126,9 @@ def gen_rician_matrix(
     params: RicianLinkParams,
     pl_gain: float | np.ndarray,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw a batch of Rician channel matrices, shape S + (rx size, tx size).
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw a batch of Rician channel matrices H, shape S + (rx size, tx size),
+    and, for a multi-antenna receiver, their range factors F.
 
     H = sqrt(pl) * ( sqrt(k/(k+1)) rx tx^H
                      + sqrt(1/(k+1)) (1/sqrt(L)) sum_l g_l rx_l tx_l^H )
@@ -135,6 +143,12 @@ def gen_rician_matrix(
     link and, per path, gives the rx offsets, the tx offsets, then g_l's real
     and imaginary parts; each side's responses come from one steering call
     and H is formed as Rx diag(c) Tx^H.
+
+    F = Rx diag(c) P^H, for P the triangular factor of a QR Tx = Q P of the
+    (tx size, L + 1) path responses, has F F^H = H H^H and min(tx size, L + 1)
+    columns, with no rank test: it holds H's range for a Gram total, also
+    when paths coincide or outnumber the tx antennas. F is None for
+    rx_spec=None.
     """
     pl_gain = np.asarray(pl_gain, dtype=float)
     if not (pl_gain > 0).all():
@@ -163,10 +177,12 @@ def gen_rician_matrix(
         return upa_steering(np.concatenate([az, az + offsets[..., 0]], axis=-1),
                             np.concatenate([el, el + offsets[..., 1]], axis=-1), spec.geom)
 
-    left = c[..., None, :]  # Rx diag(c), with Rx = 1 for a single-antenna receiver
-    if rx_spec is not None:
-        left = np.swapaxes(responses(rx_spec, offsets[..., :2]), -1, -2) * left
-    return left @ responses(tx_spec, offsets[..., -2:]).conj()
+    tx = responses(tx_spec, offsets[..., -2:])  # Tx^T
+    if rx_spec is None:  # Rx = 1
+        return c[..., None, :] @ tx.conj(), None
+    left = np.swapaxes(responses(rx_spec, offsets[..., :2]), -1, -2) * c[..., None, :]
+    P = np.linalg.qr(np.swapaxes(tx, -1, -2), mode="r")
+    return left @ tx.conj(), left @ np.swapaxes(P, -1, -2).conj()
 
 
 def _draw_disc_positions(
@@ -209,9 +225,10 @@ def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> Chann
     def links(
         src: np.ndarray, src_geom: ArrayGeometry, dsts: np.ndarray,
         dst_geom: ArrayGeometry | None, link: RicianLinkParams, stream,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Channels (n, rx size, tx size) from the point src (3,) to each row
-        of dsts (n, 3), as drawn; dst_geom=None is a single-antenna receiver."""
+        of dsts (n, 3), as drawn, and their range factors; dst_geom=None is a
+        single-antenna receiver, with no factors."""
         with np.errstate(over="ignore"):  # path_loss_linear reports an inf distance
             # src - dst, not -(dst - src): equal coordinates give +0.0 (azimuth 0), not -0.0 (pi)
             forward, backward = dsts - src, src - dsts
@@ -224,12 +241,16 @@ def gen_channel_set(scenario: ScenarioConfig, rng: np.random.Generator) -> Chann
         rx_spec = None if dst_geom is None else SteeringSpec(dst_geom, *_los_angles(backward))
         return gen_rician_matrix(tx_spec, rx_spec, link, pl, stream)
 
+    (G1,), (G1_range,) = links(bs1, scenario.bs1_array, ris[None], ris_geom, bs_ris, s_g1)
+    (G2,), (G2_range,) = links(bs2, scenario.bs2_array, ris[None], ris_geom, bs_ris, s_g2)
     return ChannelSet(
-        G1=links(bs1, scenario.bs1_array, ris[None], ris_geom, bs_ris, s_g1)[0],
-        G2=links(bs2, scenario.bs2_array, ris[None], ris_geom, bs_ris, s_g2)[0],
-        h_r1=links(ris, ris_geom, users1, None, scenario.ris_user_link, s_hr1)[:, 0],
-        h_r2=links(ris, ris_geom, users2, None, scenario.ris_user_link, s_hr2)[:, 0],
-        h_d2=links(bs2, scenario.bs2_array, users2, None, scenario.direct_link, s_hd2)[:, 0],
+        G1=G1,
+        G2=G2,
+        G1_range=G1_range,
+        G2_range=G2_range,
+        h_r1=links(ris, ris_geom, users1, None, scenario.ris_user_link, s_hr1)[0][:, 0],
+        h_r2=links(ris, ris_geom, users2, None, scenario.ris_user_link, s_hr2)[0][:, 0],
+        h_d2=links(bs2, scenario.bs2_array, users2, None, scenario.direct_link, s_hd2)[0][:, 0],
         noise_var=scenario.noise_var_w,
         theta=scenario.theta_rad,
     )

@@ -27,7 +27,3 @@ class ConfigError(RisbalError, ValueError):
 
 class NormalizationError(NumericalError):
     """A gain matrix whose norm is zero or overflows cannot be normalized."""
-
-
-class HermitianViolationError(NumericalError):
-    """A balance matrix is not Hermitian up to roundoff."""

@@ -16,6 +16,7 @@ single-threaded per call and safe to run concurrently from many threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -54,20 +55,22 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RcgConfig:
-    """Solver settings.
-
-    grad_tol left at None resolves to 1e-6 * M at solve time (scale-aware
-    default).
+    """Solver settings, checked when built: max_iters a positive integer,
+    grad_tol None or a finite nonnegative real (a bool is neither), or
+    ValueError. grad_tol left at None resolves to 1e-6 * M at solve time
+    (scale-aware default).
     """
 
     max_iters: int = 500
     grad_tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.grad_tol is not None and self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
+        iters, tol = self.max_iters, self.grad_tol
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {iters!r}")
+        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                                or not 0.0 <= tol < math.inf):
+            raise ValueError(f"grad_tol must be None or finite and nonnegative, got {tol!r}")
 
 
 class ConvergedBy(Enum):

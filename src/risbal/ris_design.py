@@ -8,33 +8,28 @@ balance matrix R. The design maximizes phi^H R phi over unit-modulus phi
 with the Riemannian trust-region solver; an eigenvector-rounding shortcut and
 uniform random phases serve as baselines.
 
-Every step takes and returns plain arrays. Each Gram total is B_i B_i^H,
-whose factor B_i stacks the columns diag(h_k^H) g over a basis g of G_i's
-range; G_i is a sum of a few rank-1 paths, so [B_1 B_2] has far fewer columns
-than M. effective_channels takes, once per drop, the Householder QR
-[B_1 B_2] = U T; U (M, r), r = min(M, c) for c columns, is orthonormal at any
-rank and holds both totals in its range, K_i = T_i T_i^H = U^H At_i U with
-At_i = U K_i U^H. This core is the only form in which the totals are built.
-Since U^H U = I, ||K_i||_F = ||At_i||_F, so balance_matrix(K1, K2, lam) is the
-core U^H R U of R = U (U^H R U) U^H. The designs take that r x r core with
-its basis U and never form R: the warm start is an r x r eigensolve, and
-p1_problem forms W = -2 U core once per design, so each solver gradient
--2 R phi = W (U^H phi) costs O(M r) instead of O(M^2). The identity basis
-poses a dense problem, R being its own core.
+R is never formed: it is posed as B diag(d) B^H with real weights d, where
+each Gram total is B_i B_i^H and B = [B_1 B_2] has at most 2 K (L + 1)
+columns whatever the surface size M, so a weight changes only d and a
+gradient costs O(M c). The warm start solves the r x r core T diag(d) T^H
+for the triangular factor T of B = Q T and lifts it through B, without Q.
+A dense Hermitian R = V diag(w) V^H takes the same form: B = V, T = I, d = w.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import manifold
 from .channel import ChannelSet
-from .errors import HermitianViolationError, NormalizationError, NumericalError
+from .errors import NormalizationError, NumericalError
 from .manifold import RcgConfig, RcgTrace
 
 __all__ = [
+    "GramFactor",
     "effective_channels",
     "balance_matrix",
     "p1_problem",
@@ -43,113 +38,118 @@ __all__ = [
     "design_random",
 ]
 
-_HERMITIAN_TOL = 1e-9
 
-
-def _numerical_rank(s: np.ndarray, shape: tuple[int, ...]) -> int:
-    """Singular values s (descending) above np.linalg.matrix_rank's tolerance;
-    0 for an empty s. The tolerance is scaled last, so it cannot overflow."""
-    return int(np.count_nonzero(s > np.finfo(s.dtype).eps * max(shape) * s.max(initial=0.0)))
-
-
-def _gram_factor(h_r: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """B with B B^H = sum_k A_k A_k^H, from G's numerical range.
-
-    With G = W S X^H truncated at its rank q, G G^H = (W S)(W S)^H, so the
-    columns h_r[k] * (W S)[:, j] serve; q <= paths + 1 keeps B narrow.
-    """
-    W, s, _ = np.linalg.svd(G, full_matrices=False)
-    q = _numerical_rank(s, G.shape)
-    F = W[:, :q] * s[:q]
-    return (h_r.T[:, :, None] * F[:, None, :]).reshape(G.shape[0], -1)
-
-
-def effective_channels(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both Gram totals At_i = sum_k A_ik A_ik^H of one draw, in their core:
-    an orthonormal basis U (M, r) whose range holds both totals and
-    K_i = U^H At_i U (r, r), exactly Hermitian, with At_i = U K_i U^H.
-
-    U is the Q of a reduced Householder QR [B_1 B_2] = Q T, so r = min(M, c)
-    for the c columns of [B_1 B_2]; Q is orthonormal to rounding whatever the
-    rank, and B_i B_i^H = Q T_i T_i^H Q^H for T_i the columns of T
-    that belong to cell i, so K_i = T_i T_i^H. Gains the numbers cannot carry
-    come out as norms balance_matrix rejects: an all-zero G_i adds no columns,
-    so K_i = 0 (r = 0 when both are), and products that overflow give inf or
-    nan entries, without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            B1 = _gram_factor(channels.h_r1, channels.G1)
-            Q, T = np.linalg.qr(np.hstack([B1, _gram_factor(channels.h_r2, channels.G2)]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Gram-core factorization failed: {exc}") from exc
-        T1, T2 = T[:, : B1.shape[1]], T[:, B1.shape[1]:]
-        K1 = T1 @ T1.conj().T
-        K2 = T2 @ T2.conj().T
-        return Q, (K1 + K1.conj().T) / 2.0, (K2 + K2.conj().T) / 2.0
-
-
-def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
-    """R = At1/||At1||_F - lam * At2/||At2||_F, Hermitian when both totals are."""
+def _check_balance(n1: float, n2: float, lam: float) -> None:
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"balancing weight {lam!r} must be nonnegative and finite")
-    # finite entries can have a norm that overflows; the check below reports it
-    with np.errstate(over="ignore"):
-        n1 = np.linalg.norm(At1)
-        n2 = np.linalg.norm(At2)
     if not (0.0 < n1 < np.inf and 0.0 < n2 < np.inf):
         raise NormalizationError(
             f"gain-total norms {n1:.3e}, {n2:.3e} must be positive and finite"
         )
+
+
+@dataclass(frozen=True)
+class GramFactor:
+    """R = B diag(d) B^H for real weights d over B's c columns, in factor form:
+    B (M, c), Bh = B^H kept contiguous for the solver's matvecs, and T (r, c),
+    r = min(M, c), upper triangular with B = Q T for some Q (M, r) with
+    orthonormal columns. In a drop's [B_1 B_2] the first c1 columns are B_1's.
+    """
+
+    B: np.ndarray
+    Bh: np.ndarray
+    T: np.ndarray
+    c1: int
+
+    def weights(self, lam: float) -> np.ndarray:
+        """d of R = At_1/n_1 - lam At_2/n_2 = B diag(d) B^H for At_i = B_i B_i^H:
+        1/n_1 on B_1's columns, -lam/n_2 on B_2's, n_i = ||At_i||_F taken as
+        ||T_i^H T_i||_F; balance_matrix's checks and errors, without a warning."""
+        c1 = self.c1
+        with np.errstate(over="ignore", invalid="ignore"):
+            n1, n2 = (np.linalg.norm(Ti.conj().T @ Ti)
+                      for Ti in (self.T[:, :c1], self.T[:, c1:]))
+        _check_balance(n1, n2, lam)
+        return np.repeat([1.0 / n1, -lam / n2], [c1, self.T.shape[1] - c1])
+
+
+def effective_channels(channels: ChannelSet) -> GramFactor:
+    """Both Gram totals At_i = sum_k A_ik A_ik^H of one draw, in factor form:
+    B_i B_i^H = At_i for B_i with a column h_k^H o f per user row h_k^H of
+    cell i and column f of G_i's range factor, T from a QR of B in mode 'r'.
+    Products that overflow give inf or nan entries, without a warning, and
+    GramFactor.weights rejects their norms."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        B1, B2 = ((h_r.T[:, :, None] * F[:, None, :]).reshape(len(F), -1)
+                  for h_r, F in ((channels.h_r1, channels.G1_range),
+                                 (channels.h_r2, channels.G2_range)))
+        B = np.hstack([B1, B2])
+        try:
+            T = np.linalg.qr(B, mode="r")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Gram-factor QR failed: {exc}") from exc
+    return GramFactor(B, np.ascontiguousarray(B.conj().T), T, B1.shape[1])
+
+
+def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
+    """R = At1/||At1||_F - lam * At2/||At2||_F, Hermitian when both totals are:
+    the dense form of GramFactor.weights, with the same checks."""
+    # finite entries can have a norm that overflows; the check reports it
+    with np.errstate(over="ignore"):
+        n1 = np.linalg.norm(At1)
+        n2 = np.linalg.norm(At2)
+    _check_balance(n1, n2, lam)
     return At1 / n1 - lam * (At2 / n2)
 
 
-def p1_problem(R: np.ndarray, basis: np.ndarray) -> tuple[Callable, Callable]:
-    """(objective, euclid_grad) of minimizing -Re(phi^H U R U^H phi) for basis
-    U (M, r) and r x r core R; the identity basis poses a dense problem.
-
-    Uh = U^H and W = -2 U R are formed once: the objective is -Re(z^H R z) with
-    z = Uh phi, and the gradient W (Uh phi) is two matvecs, O(M r). Re<grad, t>
-    is the objective's directional derivative along t; the gradient is affine
-    in phi, so the solver's difference-quotient Hessian products are exact.
-    design_balanced checks that R is Hermitian.
-    """
-    Uh = np.ascontiguousarray(basis.conj().T, dtype=complex)  # cast a real eye once
-    W = basis @ (-2.0 * R)  # the same bits as -2 (U R): a power of two scales exactly
+def p1_problem(gram: GramFactor, d: np.ndarray) -> tuple[Callable, Callable]:
+    """(objective, euclid_grad) of minimizing -phi^H R phi for R = B diag(d) B^H:
+    with z = B^H phi, -sum_j d_j |z_j|^2 and -2 R phi = B (-2 d o z), two
+    matvecs of O(M c) each. The gradient is linear in phi, so the solver's
+    difference-quotient Hessian products are exact."""
+    B, Bh = gram.B, gram.Bh
+    scale = -2.0 * d
 
     def objective(phi: np.ndarray) -> float:
-        z = Uh @ phi
-        return -float(np.vdot(z, R @ z).real)
+        z = Bh @ phi
+        return -float(np.vdot(z, d * z).real)
 
     def euclid_grad(phi: np.ndarray) -> np.ndarray:
-        return W @ (Uh @ phi)
+        return B @ (scale * (Bh @ phi))
 
     return objective, euclid_grad
 
 
-def design_eigen(R: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Relaxation baseline: normalize each entry of the top eigenvector of
-    basis @ R @ basis^H.
+def design_eigen(gram: GramFactor, d: np.ndarray) -> np.ndarray:
+    """Relaxation baseline: normalize each entry of R's top eigenvector.
 
-    basis (M, r) must have orthonormal columns, as effective_channels' U and
-    the identity have; R is the r x r core. If r < M and the core has no
-    positive eigenvalue, the top eigenspace (eigenvalue 0) contains
-    null(basis^H), and the vector taken is its projector's column of largest
-    norm, whose squared norm 1 - ||basis[m]||^2 is at least 1 - r/M. An
-    exactly zero entry has no defined phase and is set to phase 0. eigh reads
-    one triangle of R only, so R must be Hermitian (design_balanced checks
-    it).
+    The r x r core T diag(d) T^H has R's nonzero eigenvalues; its top
+    eigenpair (mu, w) lifts to R's as B (d o (T^H w)) / mu = Q w when mu is
+    positive, or negative with r = M, beyond rounding (r eps max|eigenvalue|).
+    Otherwise Q is formed: with r = M the vector is Q w; with r < M, R's top
+    eigenspace (eigenvalue 0) contains null(Q^H), and the vector is its
+    projector's column of largest norm, of squared norm at least 1 - r/M. A
+    zero entry has no phase and takes phase 0. NumericalError is raised if
+    the eigensolve fails.
     """
+    B, T = gram.B, gram.T
+    r, M = T.shape[0], B.shape[0]
     try:
-        vals, vecs = np.linalg.eigh(R)
+        vals, vecs = np.linalg.eigh((T * d) @ T.conj().T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    if vals[-1] > 0.0 or basis.shape[1] == basis.shape[0]:
-        v = basis @ vecs[:, -1]  # algebraically largest eigenvalue
+    mu, w = vals[-1], vecs[:, -1]  # algebraically largest eigenvalue
+    tol = r * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
+    if mu > tol or (mu < -tol and r == M):
+        v = B @ (d * (T.conj().T @ w)) / mu
     else:
-        m = int(np.argmin(np.linalg.norm(basis, axis=1)))
-        v = -(basis @ basis[m].conj())
-        v[m] += 1.0
+        Q = np.linalg.qr(B)[0]
+        if r == M:
+            v = Q @ w
+        else:
+            m = int(np.argmin(np.linalg.norm(Q, axis=1)))
+            v = -(Q @ Q[m].conj())
+            v[m] += 1.0
     v = np.where(np.abs(v) == 0.0, 1.0, v)
     return manifold.retract_point(v)
 
@@ -161,23 +161,20 @@ def design_random(M: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=M))
 
 
-def design_balanced(R: np.ndarray, basis: np.ndarray, cfg: RcgConfig | None = None,
+def design_balanced(gram: GramFactor, d: np.ndarray, cfg: RcgConfig | None = None,
                     phi0: np.ndarray | None = None) -> tuple[np.ndarray, RcgTrace]:
-    """Maximize phi^H U R U^H phi over unit-modulus phi with the trust-region
-    solver, for basis U (M, r) and r x r core R; np.eye(M) poses a dense R.
+    """Maximize phi^H R phi over unit-modulus phi with the trust-region
+    solver, for R = B diag(d) B^H (a drop's gram and d = gram.weights(lam)).
 
-    R must be Hermitian, ||S - S^H||_F <= _HERMITIAN_TOL * ||S||_F for R scaled
-    to S by its largest real or imaginary part, so that no norm overflows, or
-    HermitianViolationError is raised, also for a non-finite entry; for a core
-    this is the dense check, as ||U X U^H||_F = ||X||_F for orthonormal U.
-    phi0 defaults to design_eigen(R, basis), which the solver can only
-    improve; NumericalError is raised if that eigensolve fails.
+    Columns of weight 0 add nothing to R, so B's trailing ones (B_2's at
+    lam = 0) are left out; B's leading columns have T's leading block as
+    their factor. phi0 defaults to design_eigen of that problem, which the
+    solver can only improve; NumericalError is raised if its eigensolve fails.
     """
-    with np.errstate(invalid="ignore"):
-        scale = max(np.abs(R.real).max(initial=0.0), np.abs(R.imag).max(initial=0.0))
-        S = R / (scale or 1.0)
-        if not np.linalg.norm(S - S.conj().T) <= _HERMITIAN_TOL * np.linalg.norm(S):
-            raise HermitianViolationError("balance matrix R is not Hermitian")
+    c = max(1, int(np.flatnonzero(d).max(initial=-1)) + 1)
+    if c < len(d):
+        r = min(len(gram.B), c)
+        gram, d = GramFactor(gram.B[:, :c], gram.Bh[:c], gram.T[:r, :c], min(gram.c1, c)), d[:c]
     if phi0 is None:
-        phi0 = design_eigen(R, basis)
-    return manifold.rcg_minimize(*p1_problem(R, basis), phi0, cfg)
+        phi0 = design_eigen(gram, d)
+    return manifold.rcg_minimize(*p1_problem(gram, d), phi0, cfg)

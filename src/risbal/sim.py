@@ -1,8 +1,8 @@
 """Monte Carlo harness: per-drop evaluation of all schemes, sweeps, CSV, CLI.
 
 Schemes per drop, all sharing one channel realization (the two designs
-also share its Gram totals, built once in their low-rank core, in which
-each design forms its balance matrix, warm start and solver matvecs):
+also share its Gram factor, built once, on which each design poses its
+balance matrix by weights alone):
 
   Proposed : balancing design at the configured weight
   ConvRis  : balancing design with weight 0 (serving cell only)
@@ -13,7 +13,7 @@ each design forms its balance matrix, warm start and solver matvecs):
 Per-drop seeds are a fixed hash-mix of (master seed, sweep index, drop
 index); with CRN the sweep index is left out. A sweep runs drop-major, in
 one process: each drop index runs every sweep value in turn, and values
-with the same drop seed share the drop's channels, Gram totals, RandRis
+with the same drop seed share the drop's channels, Gram factor, RandRis
 phases and balanced designs (keyed by linear weight), and per transmit
 power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
 a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
@@ -45,7 +45,7 @@ from .channel import gen_channel_set
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NumericalError, RisbalError
 from .metrics import evaluate
-from .ris_design import balance_matrix, design_balanced, design_random, effective_channels
+from .ris_design import design_balanced, design_random, effective_channels
 
 __all__ = [
     "Scheme",
@@ -142,16 +142,15 @@ class _Drop:
         self.cfg = cfg
         chan_ss, phase_ss = np.random.SeedSequence(int(drop_seed)).spawn(2)
         self.channels = gen_channel_set(cfg, np.random.default_rng(chan_ss))
-        self.basis, self.K1, self.K2 = effective_channels(self.channels)
+        self.gram = effective_channels(self.channels)
         self.phi_rand = design_random(cfg.ris_array.size, np.random.default_rng(phase_ss))
         self.designs: dict[float, np.ndarray] = {}
         self.per_power: dict[float, tuple[np.ndarray, dict[Scheme, tuple[float, float]]]] = {}
 
     def design(self, lam: float) -> np.ndarray:
-        """The balanced design at weight lam, solved in the drop's Gram core on first use."""
+        """The balanced design at weight lam, solved on the drop's Gram factor on first use."""
         if lam not in self.designs:
-            core = balance_matrix(self.K1, self.K2, lam)
-            self.designs[lam] = design_balanced(core, basis=self.basis)[0]
+            self.designs[lam] = design_balanced(self.gram, self.gram.weights(lam))[0]
         return self.designs[lam]
 
     def rates(self, phi: np.ndarray, power: float, F2: np.ndarray) -> tuple[float, float]:

@@ -7,6 +7,7 @@ import numpy as np
 from risbal import (
     ArrayGeometry,
     ChannelSet,
+    GramFactor,
     ScenarioConfig,
     SteeringSpec,
     effective_channels,
@@ -136,7 +137,7 @@ def channel_set_loop(scenario, streams):
             for user in users
         ])
 
-    return ChannelSet(
+    return hand_built_channels(
         G1=bs_to_ris(bs1, scenario.bs1_array, s_g1),
         G2=bs_to_ris(bs2, scenario.bs2_array, s_g2),
         h_r1=to_users(ris, ris_geom, scenario.ris_user_link, users1, s_hr1),
@@ -147,17 +148,33 @@ def channel_set_loop(scenario, streams):
     )
 
 
+def hand_built_channels(G1, G2, h_r1, h_r2, h_d2, noise_var=1.0, theta=0.0):
+    """A ChannelSet of given arrays; each G_i is its own range factor, as
+    G_i G_i^H = G_i G_i^H (N_i columns where a draw's factor has L + 1 or fewer)."""
+    return ChannelSet(G1=G1, G2=G2, G1_range=G1, G2_range=G2, h_r1=h_r1, h_r2=h_r2,
+                      h_d2=h_d2, noise_var=noise_var, theta=theta)
+
+
 def total_gain_matrix(As):
     """Reference Gram total sum_k A_k A_k^H, summed term by term and
-    symmetrized; effective_channels forms it only in its low-rank core."""
+    symmetrized; the program forms it only in factor form."""
     total = sum(A @ A.conj().T for A in As)
     return (total + total.conj().T) / 2.0
 
 
 def dense_totals(channels):
-    """Both Gram totals at full size, U K_i U^H, from effective_channels' core."""
-    U, K1, K2 = effective_channels(channels)
-    return U @ K1 @ U.conj().T, U @ K2 @ U.conj().T
+    """Both Gram totals at full size, B_i B_i^H, from effective_channels' factor."""
+    gram = effective_channels(channels)
+    totals = [B @ B.conj().T for B in (gram.B[:, :gram.c1], gram.B[:, gram.c1:])]
+    return tuple((At + At.conj().T) / 2.0 for At in totals)
+
+
+def dense_factor(R):
+    """A dense Hermitian R posed in factor form through its eigh
+    R = V diag(w) V^H: (GramFactor with B = V and T = I, d = w)."""
+    w, V = np.linalg.eigh(R)
+    V = V.astype(complex)
+    return GramFactor(V, np.ascontiguousarray(V.conj().T), np.eye(len(w)), len(w)), w
 
 
 def grid_min_objective(R, levels=24):

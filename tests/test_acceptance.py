@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 from conftest import (
     cascade,
+    dense_factor,
     dense_totals,
     grid_min_objective,
     project_to_tangent,
@@ -22,13 +23,14 @@ from conftest import (
 )
 
 from risbal import (
+    GramFactor,
     RcgConfig,
     ScenarioConfig,
     Scheme,
     SweepParam,
-    balance_matrix,
     design_balanced,
     design_eigen,
+    effective_channels,
     gen_channel_set,
     p1_problem,
     rcg_minimize,
@@ -39,13 +41,6 @@ from risbal import (
 )
 from risbal.manifold import unit_modulus_error
 from risbal.sim import Cell, drop_seed_for
-
-
-def _pipeline_balance(seed, lam=100.0, cfg=None):
-    """Balance matrix from one channel draw at the reference operating point."""
-    cfg = cfg if cfg is not None else ScenarioConfig()
-    cs = gen_channel_set(cfg, np.random.default_rng(seed))
-    return balance_matrix(*dense_totals(cs), lam)
 
 
 def _se(samples):
@@ -87,7 +82,7 @@ def test_oracle_optimality_m3_grid():
         rng = np.random.default_rng(1000 + s)
         R = random_hermitian(3, rng)
         f_grid = grid_min_objective(R, levels=24)  # 13824 candidates
-        _, trace = design_balanced(R, np.eye(3))
+        _, trace = design_balanced(*dense_factor(R))
         gap = (trace.objective_values[-1] - f_grid) / abs(f_grid)
         if gap <= 0.02:
             hits += 1
@@ -104,7 +99,9 @@ def test_descent_and_gradient_convergence_m128():
     cfg = RcgConfig(max_iters=2000)
     grad_tol = 1e-6 * 128
     for s in range(n):
-        _, trace = design_balanced(_pipeline_balance(2000 + s, lam=100.0), np.eye(128), cfg)
+        cs = gen_channel_set(ScenarioConfig(), np.random.default_rng(2000 + s))
+        gram = effective_channels(cs)
+        _, trace = design_balanced(gram, gram.weights(100.0), cfg)
         assert np.all(np.diff(trace.objective_values) <= 0.0)
         if trace.final_grad_norm < grad_tol:
             converged += 1
@@ -220,8 +217,8 @@ def test_design_quality_solve_keeps_what_it_buys():
     power = cfg.transmit_power_w
 
     def warm_start_rates(drop, lam):
-        """(R1, R2) of design_eigen on the drop's core at linear weight lam."""
-        phi = design_eigen(balance_matrix(drop.K1, drop.K2, lam), drop.basis)
+        """(R1, R2) of design_eigen on the drop's Gram factor at linear weight lam."""
+        phi = design_eigen(drop.gram, drop.gram.weights(lam))
         return np.array(drop.rates(phi, power, drop.weight_free(power)[0]))
 
     floors = {10.0: (14, 1.0), 20.0: (17, 2.0)}  # weight dB: (drops with a gain, mean)
@@ -270,10 +267,10 @@ class _CallBudgetSpent(Exception):
     pass
 
 
-def _seconds_per_grad_call(R, basis, phi0, budget=200):
+def _seconds_per_grad_call(gram, d, phi0, budget=200):
     """Best of 5 solves cut after budget gradient calls: seconds per call.
     The problem is built once, before the timed solves."""
-    objective, euclid_grad = p1_problem(R, basis)
+    objective, euclid_grad = p1_problem(gram, d)
     cfg = RcgConfig(max_iters=500, grad_tol=0.0)
     best = np.inf
     for _ in range(5):
@@ -301,8 +298,8 @@ def test_complexity_quadratic_in_surface_size():
     # the trust-region solve spends 1 to M gradient calls per outer
     # iteration, so the work unit timed here is the gradient call:
     # a solve cut after a fixed number of calls, divided by the calls made,
-    # must grow no faster than M^2; a dense R is its own core in the identity
-    # basis, where a call is two M x M matvecs
+    # must grow no faster than M^2; a dense R is posed through its eigh,
+    # B = V (M x M), where a call is two M x M matvecs
     sizes = [64, 128, 256, 512]
     budget = 200
     per_call = []
@@ -310,7 +307,7 @@ def test_complexity_quadratic_in_surface_size():
         rng = np.random.default_rng(M)
         R = random_hermitian(M, rng)
         phi0 = random_phi(M, rng)
-        per_call.append(_seconds_per_grad_call(R, np.eye(M), phi0, budget=budget))
+        per_call.append(_seconds_per_grad_call(*dense_factor(R), phi0, budget=budget))
     slope = np.polyfit(np.log2(sizes), np.log2(per_call), 1)[0]
     assert slope <= 2.3
     print(
@@ -321,17 +318,18 @@ def test_complexity_quadratic_in_surface_size():
 
 
 def test_complexity_linear_in_surface_size_in_factor_form():
-    # with a basis U (M, r) and an r x r core, a gradient call is
-    # (-2 U core) (U^H phi), O(M r): from M = 512 to 2048 its time must grow
+    # with a factor B (M, r) and r real weights d, a gradient call is
+    # B (-2 d o (B^H phi)), O(M r): from M = 512 to 2048 its time must grow
     # less than 8x, between linear (4x) and quadratic (16x, a dense matvec)
     r = 72
     rng = np.random.default_rng(r)
-    core = random_hermitian(r, rng)
+    d = rng.standard_normal(r)
     sizes = [512, 2048]
     per_call = []
     for M in sizes:
-        U, _ = np.linalg.qr(rng.standard_normal((M, r)) + 1j * rng.standard_normal((M, r)))
-        per_call.append(_seconds_per_grad_call(core, U, random_phi(M, rng)))
+        B = rng.standard_normal((M, r)) + 1j * rng.standard_normal((M, r))
+        gram = GramFactor(B, np.ascontiguousarray(B.conj().T), np.linalg.qr(B, mode="r"), r)
+        per_call.append(_seconds_per_grad_call(gram, d, random_phi(M, rng)))
     growth = per_call[1] / per_call[0]
     assert growth <= 8.0
     print(

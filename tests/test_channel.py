@@ -179,7 +179,7 @@ def test_rician_los_limit_high_kappa():
     tx = upa_steering(0.3, 0.1, tx_spec.geom)
     rx = upa_steering(-0.2, 0.4, rx_spec.geom)
     params = RicianLinkParams(2.4, 80.0, 4)
-    H = gen_rician_matrix(tx_spec, rx_spec, params, 1.0, rng)
+    H, _ = gen_rician_matrix(tx_spec, rx_spec, params, 1.0, rng)
     assert H.shape == (4, 3)
     assert np.linalg.norm(H - np.outer(rx, np.conj(tx))) < 1e-3
 
@@ -188,7 +188,7 @@ def test_rician_scalar_los_only():
     rng = np.random.default_rng(2)
     params = RicianLinkParams(2.0, 3.0, 0)
     pl = 0.37
-    H = gen_rician_matrix(SteeringSpec(ArrayGeometry(1, 1), 0.7, -0.2), None, params, pl, rng)
+    H, _ = gen_rician_matrix(SteeringSpec(ArrayGeometry(1, 1), 0.7, -0.2), None, params, pl, rng)
     assert H.shape == (1, 1)
     assert abs(H[0, 0]) ** 2 == pytest.approx(pl, rel=1e-12)
 
@@ -202,7 +202,7 @@ def test_rician_frobenius_normalization_monte_carlo():
     total = 0.0
     n = 10_000
     for _ in range(n):
-        H = gen_rician_matrix(tx_spec, rx_spec, params, pl, rng)
+        H, _ = gen_rician_matrix(tx_spec, rx_spec, params, pl, rng)
         total += np.linalg.norm(H) ** 2
     assert total / n == pytest.approx(pl * 2 * 3, rel=0.03)
 
@@ -219,7 +219,7 @@ def test_rician_power_split_fraction():
     total = 0.0
     n = 10_000
     for _ in range(n):
-        H = gen_rician_matrix(tx_spec, None, params, 1.0, rng)
+        H, _ = gen_rician_matrix(tx_spec, None, params, 1.0, rng)
         total += np.linalg.norm(H - los) ** 2
     nlos_fraction = total / n / 4.0
     assert nlos_fraction == pytest.approx(1.0 / (kappa + 1.0), rel=0.03)
@@ -232,13 +232,48 @@ def test_rician_determinism():
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(99)
-        draws.append(gen_rician_matrix(tx_spec, rx_spec, params, 1.0, rng))
+        draws.append(gen_rician_matrix(tx_spec, rx_spec, params, 1.0, rng)[0])
     np.testing.assert_array_equal(draws[0], draws[1])
 
 
 def _assert_close(got, ref, rel=1e-13):
     assert got.shape == ref.shape
     assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
+
+
+_SMALL_BS = dict(bs1_array=ArrayGeometry(2, 2), bs2_array=ArrayGeometry(2, 2))
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    _SMALL_BS,                                                   # N = 4 < L + 1 = 9
+    dict(bs_ris_link=RicianLinkParams(2.2, 10.0, 0)),            # direct path only
+    dict(bs_ris_link=RicianLinkParams(2.2, 10.0, 8, 0.0)),       # coincident paths
+    dict(_SMALL_BS, bs_ris_link=RicianLinkParams(2.2, 10.0, 8, 0.0)),
+], ids=["default", "2x2-BSs", "nlos-0", "spread-0", "2x2-BSs-spread-0"])
+def test_range_factor_spans_the_bs_links(overrides):
+    # F_i F_i^H = G_i G_i^H with min(N_i, L + 1) columns, with no rank test:
+    # also when paths outnumber the BS antennas or coincide
+    cfg = ScenarioConfig(**overrides)
+    for seed in (1, 2):
+        cs = gen_channel_set(cfg, np.random.default_rng(seed))
+        for G, F in ((cs.G1, cs.G1_range), (cs.G2, cs.G2_range)):
+            assert F.shape == (G.shape[0], min(G.shape[1], cfg.bs_ris_link.nlos_path_count + 1))
+            _assert_close(F @ F.conj().T, G @ G.conj().T)
+
+
+def test_range_factor_of_a_batch():
+    # a batch of multi-antenna links gets one factor per link; a
+    # single-antenna receiver gets none
+    tx = SteeringSpec(ArrayGeometry(2, 3), np.array([0.4, -0.8]), np.array([-0.3, 0.1]))
+    rx = SteeringSpec(ArrayGeometry(4, 4), np.array([-1.1, 0.6]), np.array([0.2, -0.4]))
+    params = RicianLinkParams(2.5, 5.0, 8, 25.0)
+    H, F = gen_rician_matrix(tx, rx, params, np.array([3e-7, 1e-9]), np.random.default_rng(4))
+    assert F.shape == (2, 16, 6)
+    for H_k, F_k in zip(H, F):
+        _assert_close(F_k @ F_k.conj().T, H_k @ H_k.conj().T)
+    assert gen_rician_matrix(tx, None, params, np.array([1.0, 2.0]),
+                             np.random.default_rng(4))[1] is None
 
 
 @pytest.mark.parametrize(
@@ -268,7 +303,7 @@ def test_rician_matches_path_by_path_loop(rx_geom, params, batched):
     batch = slice(None) if batched else 0
     for seed in (11, 12):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        H = gen_rician_matrix(*specs(batch), params, pl[batch], rng)
+        H, _ = gen_rician_matrix(*specs(batch), params, pl[batch], rng)
         got = H if batched else H[None]
         ref = [rician_matrix_loop(*specs(k), params, pl[k], ref_rng) for k in range(len(got))]
         assert len(got) == (3 if batched else 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    dense_factor,
     grid_min_objective,
     project_to_tangent,
     quadform,
@@ -83,6 +84,27 @@ def test_rcg_config_rejects_bad_values():
     ]:
         with pytest.raises(ValueError):
             RcgConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(grad_tol=np.nan),    # compares False, so the GRAD_NORM stop never fired
+    dict(grad_tol=np.inf),
+    dict(grad_tol="1e-6"),
+    dict(grad_tol=True),
+    dict(max_iters=2.5),      # built, then failed in range() as a TypeError
+    dict(max_iters=True),     # was accepted as one iteration
+    dict(max_iters=np.float64(3.0)),
+    dict(max_iters=None),
+], ids=repr)
+def test_rcg_config_rejects_bad_types_when_built(kwargs):
+    with pytest.raises(ValueError):
+        RcgConfig(**kwargs)
+
+
+def test_rcg_config_accepts_numpy_scalars():
+    cfg = RcgConfig(max_iters=np.int64(7), grad_tol=np.float64(1e-3))
+    assert cfg.max_iters == 7 and cfg.grad_tol == 1e-3
+    assert RcgConfig(grad_tol=0).grad_tol == 0
 
 
 # ------------------------------------------------------------- inner solve
@@ -200,7 +222,7 @@ def test_rcg_rejects_bad_start():
         rcg_minimize(lambda p: 0.0, lambda p: p, np.array([0.5, 1.0 + 0j]))
     # NaN compares False against any tolerance; it must not pass as unit modulus
     with pytest.raises(ValueError):
-        rcg_minimize(*p1_problem(np.eye(3), np.eye(3)), [1, np.nan, 1j])
+        rcg_minimize(*p1_problem(*dense_factor(np.eye(3))), [1, np.nan, 1j])
 
 
 def test_rcg_nonfinite_objective_raises():

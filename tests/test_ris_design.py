@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import (
     cascade,
+    dense_factor,
     dense_totals,
+    hand_built_channels,
     grid_min_objective,
     project_to_tangent,
     quadform,
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from risbal import (
     ArrayGeometry,
-    ChannelSet,
     ConvergedBy,
+    GramFactor,
     RcgConfig,
     ScenarioConfig,
     balance_matrix,
@@ -29,7 +31,7 @@ from risbal import (
     gen_channel_set,
     p1_problem,
 )
-from risbal.errors import HermitianViolationError, NormalizationError, NumericalError
+from risbal.errors import NormalizationError, NumericalError
 from risbal.manifold import unit_modulus_error
 
 
@@ -113,18 +115,22 @@ def test_balance_matrix_definition_at_20db():
     expected = At1 / np.linalg.norm(At1) - 100.0 * At2 / np.linalg.norm(At2)
     assert np.linalg.norm(R - expected) < 1e-12
     np.testing.assert_allclose(R, R.conj().T, atol=1e-10)
-    # the core's totals from a channel draw are exactly Hermitian, and so
-    # is R in the core
-    _, K1, K2 = effective_channels(_channels(seed=7))
-    R = balance_matrix(K1, K2, 100.0)
-    assert np.array_equal(R, R.conj().T)
+    # a drop's weights pose the same R in factor form, B diag(d) B^H
+    cs = _channels(seed=7)
+    gram = effective_channels(cs)
+    R = balance_matrix(*dense_totals(cs), 100.0)
+    factored = (gram.B * gram.weights(100.0)) @ gram.Bh
+    assert np.linalg.norm(factored - R) <= 1e-12 * np.linalg.norm(R)
 
 
 @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
 def test_balance_matrix_rejects_bad_weight(lam):
-    # NaN would give an all-NaN R and inf an invalid-value warning
+    # NaN would give an all-NaN R and inf an invalid-value warning; the
+    # factor form's weights take the same check
     with pytest.raises(ValueError):
         balance_matrix(np.eye(2), np.eye(2), lam)
+    with pytest.raises(ValueError):
+        effective_channels(_channels(seed=1)).weights(lam)
 
 
 def test_balance_matrix_zero_norm_raises():
@@ -133,12 +139,17 @@ def test_balance_matrix_zero_norm_raises():
     # finite entries whose Frobenius norm overflows to inf, without a warning
     with pytest.raises(NormalizationError):
         balance_matrix(np.eye(2), np.full((2, 2), 1e200), 1.0)
+    # in factor form: a cell with zero gains, and gains whose total overflows
+    cs = _channels(seed=1)
+    for G2_range in (np.zeros_like(cs.G2_range), np.full_like(cs.G2_range, 1e200)):
+        with pytest.raises(NormalizationError):
+            effective_channels(replace(cs, G2_range=G2_range)).weights(1.0)
 
 
 # ----------------------------------------------------------- objective, grad
 
 def _dense_objective(phi, R):
-    return p1_problem(R, np.eye(len(R)))[0](phi)
+    return p1_problem(*dense_factor(R))[0](phi)
 
 
 def test_objective_scalar_case():
@@ -164,44 +175,14 @@ def test_objective_matches_double_sum():
     assert abs(double_sum.imag) < 1e-9
 
 
-def test_design_balanced_rejects_non_hermitian():
-    rng = np.random.default_rng(10)
-    X = _random_complex((3, 3), rng)  # generic, far from Hermitian
-    with pytest.raises(HermitianViolationError):
-        design_balanced(X, np.eye(3))
-    # a Gram product without explicit symmetrization is Hermitian to roundoff
-    A = _random_complex((3, 2), rng)
-    phi, _ = design_balanced(A @ A.conj().T, np.eye(3))
-    assert unit_modulus_error(phi) < 1e-12
-    # with a basis the check runs on the core it is given, and equals the
-    # dense check on U X U^H: the Frobenius norms are the same
-    U, _ = np.linalg.qr(_random_complex((8, 3), rng))
-    assert np.linalg.norm(U @ (X - X.conj().T) @ U.conj().T) == pytest.approx(
-        np.linalg.norm(X - X.conj().T), rel=1e-12)
-    with pytest.raises(HermitianViolationError):
-        design_balanced(X, U)
-    # an inf on the diagonal makes R - R^H nan, and a nan above it is missed
-    # by eigh, which reads the lower triangle only: both are a violation,
-    # raised without a RuntimeWarning (the suite turns one into an error)
-    for entry, value in (((0, 0), np.inf), ((0, 1), np.nan)):
-        R = np.eye(3, dtype=complex)
-        R[entry] = value
-        with pytest.raises(HermitianViolationError):
-            design_balanced(R, np.eye(3))
-    # the check is scale-free: a Frobenius norm that overflows to inf must
-    # not make the bound vacuous
-    with pytest.raises(HermitianViolationError):
-        design_balanced(np.array([[1e200, 1e200], [0, 1e200]], dtype=complex), np.eye(2))
-
-
 def test_gradient_zero_and_identity():
     rng = np.random.default_rng(11)
     phi = random_phi(5, rng)
     np.testing.assert_array_equal(
-        p1_problem(np.zeros((5, 5)), np.eye(5))[1](phi), np.zeros(5)
+        p1_problem(*dense_factor(np.zeros((5, 5))))[1](phi), np.zeros(5)
     )
     np.testing.assert_allclose(
-        p1_problem(np.eye(5, dtype=complex), np.eye(5))[1](phi), -2.0 * phi,
+        p1_problem(*dense_factor(np.eye(5, dtype=complex)))[1](phi), -2.0 * phi,
         atol=1e-15,
     )
 
@@ -209,25 +190,26 @@ def test_gradient_zero_and_identity():
 @settings(max_examples=100, deadline=None)
 @given(M=st.integers(1, 24), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_gradient_finite_difference_scale_convention(M, data, seed):
-    # for a basis U (the identity or an orthonormal QR factor) and a Hermitian
-    # r x r core, the problem is that of R = U core U^H: its gradient is
-    # -2 R phi, its objective -phi^H R phi, and the projected gradient is the
-    # Riemannian gradient, whose inner product with a unit tangent t equals
-    # the directional derivative
+    # for a factor B (a dense R's eigenvectors, or any M x c matrix, c up to
+    # 2 M) and real weights d, the problem is that of R = B diag(d) B^H: its
+    # gradient is -2 R phi, its objective -phi^H R phi, and the projected
+    # gradient is the Riemannian gradient, whose inner product with a unit
+    # tangent t equals the directional derivative
     rng = np.random.default_rng(seed)
-    if data.draw(st.booleans(), label="identity basis"):
-        U = np.eye(M)
+    if data.draw(st.booleans(), label="dense R"):
+        gram, d = dense_factor(random_hermitian(M, rng))
     else:
-        U, _ = np.linalg.qr(_random_complex((M, data.draw(st.integers(1, M), label="r")), rng))
-    core = random_hermitian(U.shape[1], rng)
-    R = U @ core @ U.conj().T
-    objective, euclid_grad = p1_problem(core, U)
+        B = _random_complex((M, data.draw(st.integers(1, 2 * M), label="c")), rng)
+        gram = GramFactor(B, np.ascontiguousarray(B.conj().T), np.linalg.qr(B, mode="r"), 0)
+        d = rng.standard_normal(B.shape[1])
+    R = (gram.B * d) @ gram.Bh
+    objective, euclid_grad = p1_problem(gram, d)
     phi = random_phi(M, rng)
     g = euclid_grad(phi)
     ref = -2.0 * (R @ phi)
     assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
-    # |phi^H R phi| <= M ||core||_F bounds the rounding of both values below
-    scale = M * np.linalg.norm(core)
+    # |phi^H R phi| <= M sum_j |d_j| ||b_j||^2 bounds the rounding of both values below
+    scale = M * np.abs(d) @ np.linalg.norm(gram.B, axis=0) ** 2
     assert abs(objective(phi) + quadform(phi, R)) <= 1e-12 * scale
     g_proj = project_to_tangent(g, phi)
     h = 1e-5
@@ -250,26 +232,32 @@ def _balance(cs, lam):
     return balance_matrix(*dense_totals(cs), lam)
 
 
+def _design(cs, lam, cfg=None):
+    """The program's design of a drop at weight lam, on its Gram factor."""
+    gram = effective_channels(cs)
+    return design_balanced(gram, gram.weights(lam), cfg)
+
+
 def test_design_balanced_zero_weight_reproducible():
-    R = _balance(_channels(seed=1), 0.0)
-    phi_a, _ = design_balanced(R, np.eye(len(R)))
-    phi_b, _ = design_balanced(R, np.eye(len(R)))
+    cs = _channels(seed=1)
+    phi_a, _ = _design(cs, 0.0)
+    phi_b, _ = _design(cs, 0.0)
     np.testing.assert_array_equal(phi_a, phi_b)
 
 
 def test_design_balanced_improves_on_warm_start():
-    R = _balance(_channels(seed=2), 100.0)
-    phi0 = design_eigen(R, np.eye(len(R)))
-    phi, trace = design_balanced(R, np.eye(len(R)))
-    assert trace.objective_values[-1] <= -quadform(phi0, R)
+    cs = _channels(seed=2)
+    gram = effective_channels(cs)
+    phi0 = design_eigen(gram, gram.weights(100.0))
+    phi, trace = _design(cs, 100.0)
+    assert trace.objective_values[-1] <= -quadform(phi0, _balance(cs, 100.0))
     assert unit_modulus_error(phi) < 1e-12
 
 
 def test_design_balanced_slow_drop_stops_on_gradient_norm():
     # at 20 dB this reference drop creeps along for many steps before its
     # gradient is small; the solve must run until it is, not stop early
-    R = _balance(_channels(seed=2084), 100.0)
-    _, trace = design_balanced(R, np.eye(len(R)), RcgConfig(max_iters=2000))
+    _, trace = _design(_channels(seed=2084), 100.0, RcgConfig(max_iters=2000))
     assert trace.converged_by is ConvergedBy.GRAD_NORM
     assert trace.final_grad_norm < 1e-6 * 128
 
@@ -278,9 +266,32 @@ def test_design_balanced_strong_weight_stops_before_cap():
     # at 30 dB R is strongly indefinite; the solve must still converge
     # within the default iteration budget on every reference drop
     for seed in range(90000, 90020):
-        R = _balance(_channels(seed=seed), 1000.0)
-        _, trace = design_balanced(R, np.eye(len(R)))
+        _, trace = _design(_channels(seed=seed), 1000.0)
         assert trace.converged_by is not ConvergedBy.MAX_ITERS, seed
+
+
+def test_design_balanced_leaves_out_zero_weight_columns(monkeypatch):
+    # at weight 0 B_2's columns weigh 0: the warm start and the solve run on
+    # B_1 and T's leading block, which is B_1's triangular factor
+    import risbal.ris_design
+
+    cs = _channels(seed=3, ris_array=ArrayGeometry(16, 32))
+    gram = effective_channels(cs)
+    seen = []
+    original = risbal.ris_design.design_eigen
+
+    def recorded(g, d):
+        seen.append((g.B.shape, g.T.shape, d.shape))
+        return original(g, d)
+
+    monkeypatch.setattr(risbal.ris_design, "design_eigen", recorded)
+    for lam in (0.0, 100.0):
+        design_balanced(gram, gram.weights(lam))
+    c1, c = gram.c1, gram.B.shape[1]
+    assert seen == [((512, c1), (c1, c1), (c1,)), ((512, c), (c, c), (c,))]
+    B1 = gram.B[:, :c1]
+    assert np.linalg.norm(B1.conj().T @ B1 - gram.T[:c1, :c1].conj().T @ gram.T[:c1, :c1]) \
+        <= 1e-12 * np.linalg.norm(B1) ** 2
 
 
 def test_design_balanced_eigensolve_failure_raises(monkeypatch):
@@ -288,9 +299,10 @@ def test_design_balanced_eigensolve_failure_raises(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    gram = effective_channels(_channels(seed=1))
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError):
-        design_balanced(np.eye(3, dtype=complex), np.eye(3))
+        design_balanced(gram, gram.weights(1.0))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -298,23 +310,22 @@ def test_design_balanced_near_grid_optimum_m2(seed):
     # M = 2 surface so the 24^2 grid oracle is exhaustive
     from conftest import small_cfg
 
-    cfg = small_cfg(ris_array=__import__("risbal").ArrayGeometry(1, 2))
+    cfg = small_cfg(ris_array=ArrayGeometry(1, 2))
     cs = gen_channel_set(cfg, np.random.default_rng(40 + seed))
-    R = _balance(cs, 1.0)
-    _, trace = design_balanced(R, np.eye(2))
-    f_grid = grid_min_objective(R, levels=24)
+    _, trace = _design(cs, 1.0)
+    f_grid = grid_min_objective(_balance(cs, 1.0), levels=24)
     assert trace.objective_values[-1] <= f_grid + 0.02 * abs(f_grid)
 
 
 def test_design_eigen_axis_aligned():
-    phi = design_eigen(np.diag([2.0, 1.0]).astype(complex), np.eye(2))
+    phi = design_eigen(*dense_factor(np.diag([2.0, 1.0]).astype(complex)))
     # top eigenvector is e1; its zero entry takes phase 0
     np.testing.assert_allclose(phi, np.array([1.0, 1.0]), atol=1e-12)
 
 
 def test_design_eigen_identity_degenerate():
     R = np.eye(4, dtype=complex)
-    phi = design_eigen(R, np.eye(4))
+    phi = design_eigen(*dense_factor(R))
     assert unit_modulus_error(phi) < 1e-12
     assert _dense_objective(phi, R) == pytest.approx(-4.0)
 
@@ -325,7 +336,7 @@ def test_design_eigen_baseline_quality(seed):
     # to land within 35% of the 24-level grid optimum on random instances
     rng = np.random.default_rng(300 + seed)
     R = random_hermitian(4, rng)
-    phi = design_eigen(R, np.eye(4))
+    phi = design_eigen(*dense_factor(R))
     val = quadform(phi, R)
     lam_max = np.linalg.eigvalsh(R)[-1]
     assert val <= 4 * lam_max + 1e-9
@@ -334,75 +345,86 @@ def test_design_eigen_baseline_quality(seed):
 
 
 def test_design_eigen_lifts_core_through_basis():
-    # with a basis, the warm start is that of basis @ R @ basis^H, up to the
-    # eigenvector's arbitrary global phase
+    # the core's top eigenvector lifts through B = Q T without Q, up to the
+    # eigenvector's arbitrary global phase, for a narrow and a wide factor
     rng = np.random.default_rng(17)
-    U, _ = np.linalg.qr(_random_complex((8, 3), rng))
-    K = random_hermitian(3, rng) + 4.0 * np.eye(3)  # top eigenvalue positive
-    phi = design_eigen(K, U)
-    ref = design_eigen(U @ K @ U.conj().T, np.eye(8))
-    assert unit_modulus_error(phi) < 1e-12
-    assert abs(np.vdot(ref, phi)) == pytest.approx(8.0, rel=1e-10)
+    for c in (3, 12):
+        B = _random_complex((8, c), rng)
+        gram = GramFactor(B, np.ascontiguousarray(B.conj().T), np.linalg.qr(B, mode="r"), 0)
+        d = rng.standard_normal(c) + 1.0  # top eigenvalue positive
+        phi = design_eigen(gram, d)
+        ref = design_eigen(*dense_factor((B * d) @ B.conj().T))
+        assert unit_modulus_error(phi) < 1e-12
+        assert abs(np.vdot(ref, phi)) == pytest.approx(8.0, rel=1e-10)
 
 
 def test_design_eigen_core_without_positive_eigenvalue_uses_null_space():
-    # U K U^H = -u u^H with u = (1, 1)/sqrt(2): the top eigenspace is
-    # null(U^H) = span((1, -1)), not the lifted core vector u
-    U = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
-    phi = design_eigen(np.array([[-1.0 + 0j]]), U)
+    # B diag(d) B^H = -u u^H with u = (1, 1)/sqrt(2): the top eigenspace is
+    # null(B^H) = span((1, -1)), not the lifted core vector u
+    B = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
+    gram = GramFactor(B, B.conj().T.copy(), np.linalg.qr(B, mode="r"), 1)
+    phi = design_eigen(gram, np.array([-1.0]))
     np.testing.assert_allclose(phi, np.array([1.0, -1.0]), atol=1e-15)
 
 
-# ----------------------------------------------------------------- Gram core
+# --------------------------------------------------------------- Gram factor
+
+def _reference_totals(cs):
+    return [total_gain_matrix([cascade(h, G) for h in h_r])
+            for h_r, G in ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))]
+
+
+def _check_factor(cs):
+    """effective_channels' factor against the cascade totals, term by term:
+    B_i B_i^H = At_i and B = Q T for an orthonormal Q with T upper triangular."""
+    gram = effective_channels(cs)
+    M, c = gram.B.shape
+    assert gram.T.shape == (min(M, c), c)
+    assert np.array_equal(gram.Bh, gram.B.conj().T) and gram.Bh.flags.c_contiguous
+    assert np.array_equal(gram.T, np.triu(gram.T))
+    Q, T = np.linalg.qr(gram.B)
+    assert np.array_equal(T, gram.T)  # the QR that mode 'r' returns the factor of
+    for B, ref in zip((gram.B[:, :gram.c1], gram.B[:, gram.c1:]), _reference_totals(cs)):
+        assert np.linalg.norm(B @ B.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
+    return gram
+
 
 @pytest.mark.parametrize(
     "ris_array, seeds", [(ArrayGeometry(8, 16), (1, 2)), (ArrayGeometry(16, 32), (3,))]
 )
 def test_gram_core_reproduces_the_totals_and_their_top_eigenvector(ris_array, seeds):
-    # effective_channels' core against the cascade reference, term by term
+    # the factor against the cascade reference, and the lifted warm start
+    # against the rounded top eigenvector of the dense R
     for seed in seeds:
         cs = _channels(seed=seed, ris_array=ris_array)
-        U, K1, K2 = effective_channels(cs)
-        refs = [
-            total_gain_matrix([cascade(h, G) for h in h_r])
-            for h_r, G in ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))
-        ]
-        M, r = U.shape
-        assert M == ris_array.size
-        assert r <= min(M, (cs.G1.shape[1] + cs.G2.shape[1]) * cs.h_r1.shape[0])
-        assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
-        for K, ref in zip((K1, K2), refs):
-            n = np.linalg.norm(ref)
-            assert np.array_equal(K, K.conj().T)
-            assert np.linalg.eigvalsh(K).min() >= -1e-10 * n
-            assert np.linalg.norm(U @ K @ U.conj().T - ref) <= 1e-12 * n
-            assert np.linalg.norm(K) == pytest.approx(n, rel=1e-12)
+        gram = _check_factor(cs)
+        M = ris_array.size
+        assert gram.B.shape[1] == 2 * cs.h_r1.shape[0] * 9  # K (L + 1) columns a cell
         for lam in (0.0, 10.0, 100.0, 1000.0):
-            R = balance_matrix(*refs, lam)
-            vals, vecs = np.linalg.eigh(R)
-            core_vals, core_vecs = np.linalg.eigh(balance_matrix(K1, K2, lam))
+            R = balance_matrix(*_reference_totals(cs), lam)
+            vals = np.linalg.eigvalsh(R)
+            d = gram.weights(lam)
+            core_vals = np.linalg.eigvalsh((gram.T * d) @ gram.T.conj().T)
             assert core_vals[-1] == pytest.approx(vals[-1], rel=1e-10), (seed, lam)
             if vals[-1] - vals[-2] > 1e-6 * np.abs(vals).max():
-                lifted = U @ core_vecs[:, -1]
-                assert abs(np.vdot(lifted, vecs[:, -1])) == pytest.approx(1.0, abs=1e-8)
-                assert abs(np.vdot(design_eigen(R, np.eye(M)),
-                                   design_eigen(balance_matrix(K1, K2, lam), U))) \
+                assert abs(np.vdot(design_eigen(*dense_factor(R)), design_eigen(gram, d))) \
                     == pytest.approx(M, rel=1e-6), (seed, lam)
 
 
 @pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)])
 def test_factor_form_matches_dense_on_drops(ris_array):
-    # objective and gradient on (core, U) against -phi^H R phi and -2 R phi
-    # for R = U core U^H, at arbitrary phases and at the warm start, for both
-    # weights a drop solves
+    # objective and gradient on the drop's factor against -phi^H R phi and
+    # -2 R phi for the dense R, at arbitrary phases and at the warm start,
+    # for both weights a drop solves
     rng = np.random.default_rng(19)
     for seed in (1, 2):
-        U, K1, K2 = effective_channels(_channels(seed=seed, ris_array=ris_array))
+        cs = _channels(seed=seed, ris_array=ris_array)
+        gram = effective_channels(cs)
         for lam in (0.0, 100.0):
-            core = balance_matrix(K1, K2, lam)
-            R = U @ core @ U.conj().T
-            objective, euclid_grad = p1_problem(core, U)
-            for phi in (random_phi(U.shape[0], rng), design_eigen(core, U)):
+            d = gram.weights(lam)
+            R = _balance(cs, lam)
+            objective, euclid_grad = p1_problem(gram, d)
+            for phi in (random_phi(ris_array.size, rng), design_eigen(gram, d)):
                 assert objective(phi) == pytest.approx(-quadform(phi, R), rel=1e-12)
                 g = -2.0 * (R @ phi)
                 assert np.linalg.norm(euclid_grad(phi) - g) <= 1e-12 * np.linalg.norm(g)
@@ -410,14 +432,16 @@ def test_factor_form_matches_dense_on_drops(ris_array):
 
 @pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)])
 def test_design_balanced_factor_form_matches_dense_solve(ris_array):
-    # the same solve on (core, U) and on U core U^H, from the same warm start
+    # the same solve on the drop's factor and on the dense R, from the same
+    # warm start
     for seed in (3, 4):
-        U, K1, K2 = effective_channels(_channels(seed=seed, ris_array=ris_array))
+        cs = _channels(seed=seed, ris_array=ris_array)
+        gram = effective_channels(cs)
         for lam in (0.0, 100.0, 1000.0):
-            core = balance_matrix(K1, K2, lam)
-            phi0 = design_eigen(core, U)
-            _, dense = design_balanced(U @ core @ U.conj().T, np.eye(len(U)), phi0=phi0)
-            _, factor = design_balanced(core, U, phi0=phi0)
+            d = gram.weights(lam)
+            phi0 = design_eigen(gram, d)
+            _, dense = design_balanced(*dense_factor(_balance(cs, lam)), phi0=phi0)
+            _, factor = design_balanced(gram, d, phi0=phi0)
             f = dense.objective_values[-1]
             assert factor.objective_values[-1] == pytest.approx(f, rel=1e-9), (seed, lam)
             assert factor.converged_by is ConvergedBy.GRAD_NORM
@@ -428,29 +452,18 @@ def test_design_balanced_factor_form_matches_dense_solve(ris_array):
                          ids=["surface-narrower-than-B", "rank-deficient-B"])
 def test_gram_core_basis_has_the_numerical_rank(ris_array, same_cells):
     # M = 16 < 72 columns of [B1 B2], and identical cells (rank half the
-    # columns): U is the Householder Q, min(M, c) orthonormal columns for the
-    # c columns of [B1 B2] whatever their rank, and still reproduces the
-    # cascade totals
-    from risbal.ris_design import _gram_factor
-
+    # columns): T is the Householder factor, min(M, c) rows for the c columns
+    # of [B1 B2] whatever their rank, and B still reproduces the cascade totals
     cs = _channels(seed=6, ris_array=ris_array)
     if same_cells:
-        cs = replace(cs, G2=cs.G1, h_r2=cs.h_r1)
-    B = np.hstack([_gram_factor(cs.h_r1, cs.G1), _gram_factor(cs.h_r2, cs.G2)])
-    U, K1, K2 = effective_channels(cs)
-    M, r = U.shape
-    assert M == ris_array.size
-    assert r == min(M, B.shape[1])
-    assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
-    for K, (h_r, G) in zip((K1, K2), ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))):
-        ref = total_gain_matrix([cascade(h, G) for h in h_r])
-        assert K.shape == (r, r)
-        assert np.array_equal(K, K.conj().T)
-        assert np.linalg.norm(U @ K @ U.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
+        cs = replace(cs, G2=cs.G1, G2_range=cs.G1_range, h_r2=cs.h_r1)
+    gram = _check_factor(cs)
+    assert gram.B.shape == (ris_array.size, 72)
 
 
 def test_gram_core_takes_no_svd_of_its_factor(monkeypatch):
-    # the two SVDs are _gram_factor's, one per G_i; the core itself is one QR
+    # each G_i comes with its range factor, and the factor's QR is the only
+    # decomposition: no SVD, no rank test
     calls = []
     svd = np.linalg.svd
 
@@ -458,9 +471,10 @@ def test_gram_core_takes_no_svd_of_its_factor(monkeypatch):
         calls.append(1)
         return svd(*args, **kwargs)
 
+    cs = _channels(seed=1)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    effective_channels(_channels(seed=1))
-    assert len(calls) == 2
+    effective_channels(cs)
+    assert calls == []
 
 
 @st.composite
@@ -479,56 +493,97 @@ def _rank_deficient_channels(draw):
         h_r1, h_r2 = np.vstack([h_r1, h_r1[:1]]), np.vstack([h_r2[:1], h_r2])
     elif loss == "identical-cells":
         G2, h_r2 = G1, h_r1
-    return ChannelSet(G1=G1, G2=G2, h_r1=h_r1, h_r2=h_r2,
-                      h_d2=_random_complex((len(h_r2), G2.shape[1]), rng),
-                      noise_var=1.0, theta=0.0)
+    return hand_built_channels(G1=G1, G2=G2, h_r1=h_r1, h_r2=h_r2,
+                               h_d2=_random_complex((len(h_r2), G2.shape[1]), rng))
+
+
+@st.composite
+def _drops(draw):
+    # real drops on the default, the 512-element and the 2x4 surface (the
+    # last with 2x2 BSs and 2 users a cell, so [B1 B2] is 8 x 16)
+    small = dict(ris_array=ArrayGeometry(2, 4), users_per_cell=2,
+                 bs1_array=ArrayGeometry(2, 2), bs2_array=ArrayGeometry(2, 2))
+    overrides = draw(st.sampled_from([{}, dict(ris_array=ArrayGeometry(16, 32)), small]))
+    return _channels(seed=draw(st.integers(0, 2**32 - 1)), **overrides)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_rank_deficient_channels(), st.sampled_from([0.0, 1.0, 10.0, 1000.0]))
 def test_gram_core_exact_under_rank_loss(cs, lam):
-    U, K1, K2 = effective_channels(cs)
-    M, r = U.shape
-    assert np.linalg.norm(U.conj().T @ U - np.eye(r)) < 1e-12
-    refs = [total_gain_matrix([cascade(h, G) for h in h_r])
-            for h_r, G in ((cs.h_r1, cs.G1), (cs.h_r2, cs.G2))]
-    for K, ref in zip((K1, K2), refs):
-        assert np.array_equal(K, K.conj().T)
-        assert np.linalg.norm(U @ K @ U.conj().T - ref) <= 1e-12 * np.linalg.norm(ref)
-    # R = U core U^H has the core's eigenvalues plus M - r zeros
-    top = np.linalg.eigvalsh(balance_matrix(K1, K2, lam))[-1]
-    if r < M:
+    gram = _check_factor(cs)
+    M = gram.B.shape[0]
+    # R = B diag(d) B^H has the core's eigenvalues plus M - r zeros
+    top = np.linalg.eigvalsh((gram.T * gram.weights(lam)) @ gram.T.conj().T)[-1]
+    if gram.T.shape[0] < M:
         top = max(top, 0.0)
-    dense_top = np.linalg.eigvalsh(balance_matrix(*refs, lam))[-1]
+    dense_top = np.linalg.eigvalsh(balance_matrix(*_reference_totals(cs), lam))[-1]
     assert top == pytest.approx(dense_top, abs=1e-13 * (1.0 + lam))
 
 
-def test_numerical_rank_near_overflow_and_empty():
-    # singular values near the float maximum keep their rank (a tolerance
-    # scaled by the largest value first would overflow to inf and drop them
-    # all, hiding overflowing gains as an empty core); no values, rank 0
-    from risbal.ris_design import _numerical_rank
-
-    assert _numerical_rank(np.array([2.7e306, 1.5e306, 0.0]), (128, 72)) == 2
-    assert _numerical_rank(np.array([]), (128, 0)) == 0
-
-
-def test_gram_core_degenerate_when_cells_see_the_same_gains():
-    # identical cell channels: At1 = At2, so R = (1 - lam) At1 / ||At1|| <= 0
-    # for lam > 1 and R has no positive eigenvalue beyond rounding
-    cs = _channels(seed=5)
-    cs = replace(cs, G2=cs.G1, h_r2=cs.h_r1)
-    U, K1, K2 = effective_channels(cs)
-    assert U.shape[1] < U.shape[0]
-    lam = 10.0
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_rank_deficient_channels(), _drops()),
+       st.sampled_from([0.0, 1.0, 10.0, 100.0, 1000.0]), st.integers(0, 2**32 - 1))
+def test_factor_form_matches_dense(cs, lam, seed):
+    # objective and gradient on the drop's factor against -phi^H R phi and
+    # -2 R phi of the dense R = At1/n1 - lam At2/n2 of dense_totals, at
+    # arbitrary phases and at the warm start, within 1e-12 of the scale
+    # 1 + lam of R's two normalized terms (R itself cancels to rounding for
+    # identical cells at lam = 1). The warm start is the rounded top
+    # eigenvector of the dense R, up to a global phase, wherever that
+    # eigenvalue is simple and nonzero: its gap to the next and its modulus
+    # above 1e-6 (1 + lam), and no entry of the eigenvector below 1e-3 / sqrt(M)
+    # in modulus, where rounding the phase would amplify its error.
+    gram = effective_channels(cs)
+    M = gram.B.shape[0]
+    d = gram.weights(lam)
     R = balance_matrix(*dense_totals(cs), lam)
+    objective, euclid_grad = p1_problem(gram, d)
+    scale = 1.0 + lam
+    phi0 = design_eigen(gram, d)
+    for phi in (random_phi(M, np.random.default_rng(seed)), phi0):
+        assert abs(objective(phi) + quadform(phi, R)) <= 1e-12 * M * scale
+        g = -2.0 * (R @ phi)
+        assert np.linalg.norm(euclid_grad(phi) - g) <= 1e-12 * 2.0 * np.sqrt(M) * scale
+    vals, vecs = np.linalg.eigh(R)
+    v = vecs[:, -1]
+    top_gap = vals[-1] - vals[-2] if M > 1 else np.inf
+    if min(top_gap, abs(vals[-1])) > 1e-6 * scale and np.abs(v).min() > 1e-3 / np.sqrt(M):
+        ref = v / np.abs(v)
+        aligned = ref * np.exp(1j * np.angle(np.vdot(ref, phi0)))
+        assert np.abs(phi0 - aligned).max() <= 1e-10
+
+
+def test_gram_core_degenerate_when_cells_see_the_same_gains(monkeypatch):
+    # identical cell channels: At1 = At2, so R = (1 - lam) At1 / ||At1|| <= 0
+    # for lam > 1 and R has no positive eigenvalue beyond rounding; the warm
+    # start is taken from null(B^H), the one branch that forms Q
+    cs = _channels(seed=5)
+    cs = replace(cs, G2=cs.G1, G2_range=cs.G1_range, h_r2=cs.h_r1)
+    gram = effective_channels(cs)
+    assert gram.T.shape[0] < gram.B.shape[0]
+    lam = 10.0
+    R = _balance(cs, lam)
     assert np.linalg.eigvalsh(R)[-1] <= 1e-12 * np.linalg.norm(R)
-    phi0 = design_eigen(balance_matrix(K1, K2, lam), U)
+    qr_modes = []
+    qr = np.linalg.qr
+
+    def recorded(a, mode="reduced"):
+        qr_modes.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    phi0 = design_eigen(gram, gram.weights(lam))
+    assert qr_modes == ["reduced"]
     assert np.all(np.isfinite(phi0))
     assert unit_modulus_error(phi0) < 1e-12
-    phi, trace = design_balanced(R, np.eye(len(R)), phi0=phi0)
+    phi, trace = design_balanced(*dense_factor(R), phi0=phi0)
     assert np.all(np.isfinite(phi))
     assert trace.objective_values[-1] <= trace.objective_values[0]
+    gram = effective_channels(_channels(seed=5))
+    qr_modes.clear()
+    for lam in (0.0, 1000.0):  # a drop's designs form no Q
+        design_eigen(gram, gram.weights(lam))
+    assert qr_modes == []
 
 
 def test_design_random_deterministic_and_feasible():
@@ -560,12 +615,14 @@ def test_uncontrolled_gain_ignores_phase_offset():
 
 
 def test_objective_global_phase_invariance():
-    R = _balance(_channels(seed=4), 10.0)
+    cs = _channels(seed=4)
+    gram = effective_channels(cs)
+    objective = p1_problem(gram, gram.weights(10.0))[0]
     rng = np.random.default_rng(16)
-    phi = random_phi(R.shape[0], rng)
-    f = _dense_objective(phi, R)
+    phi = random_phi(gram.B.shape[0], rng)
+    f = objective(phi)
     for alpha in rng.uniform(0, 2 * np.pi, size=5):
-        assert _dense_objective(np.exp(1j * alpha) * phi, R) == pytest.approx(f, rel=1e-10)
+        assert objective(np.exp(1j * alpha) * phi) == pytest.approx(f, rel=1e-10)
 
 
 def test_tradeoff_monotone_in_weight():
@@ -576,11 +633,11 @@ def test_tradeoff_monotone_in_weight():
     n = 40
     for s in range(n):
         cs = gen_channel_set(cfg, np.random.default_rng(5000 + s))
-        At1, At2 = dense_totals(cs)
+        _, At2 = dense_totals(cs)
         At2n = At2 / np.linalg.norm(At2)
         gains = []
         for lam in (0.0, 1.0, 10.0, 100.0):
-            phi, _ = design_balanced(balance_matrix(At1, At2, lam), np.eye(len(At1)))
+            phi, _ = _design(cs, lam)
             gains.append(quadform(phi, At2n))
         if all(gains[i + 1] <= gains[i] * (1 + 1e-9) for i in range(3)):
             ok += 1

@@ -157,8 +157,8 @@ def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
 
 
 def test_run_drop_forms_no_surface_sized_balance_matrix(monkeypatch):
-    # each design gets the r x r core and the (M, r) basis of the drop's
-    # Gram core, never an M x M balance matrix
+    # each design gets the drop's Gram factor B (M, c) and c real weights,
+    # never an M x M balance matrix
     import risbal.sim
 
     cfg = ScenarioConfig(ris_array=ArrayGeometry(16, 32))
@@ -166,29 +166,30 @@ def test_run_drop_forms_no_surface_sized_balance_matrix(monkeypatch):
     shapes = []
     original = risbal.sim.design_balanced
 
-    def recorded(R, basis, *args, **kwargs):
-        shapes.append((R.shape, basis.shape))
-        return original(R, basis, *args, **kwargs)
+    def recorded(gram, d, *args, **kwargs):
+        shapes.append((gram.B.shape, gram.T.shape, d.shape))
+        return original(gram, d, *args, **kwargs)
 
     monkeypatch.setattr(risbal.sim, "design_balanced", recorded)
     run_drop(cfg, 5)
     assert len(shapes) == 2  # Proposed and ConvRis
-    for (rows, cols), basis_shape in shapes:
-        assert rows == cols < M
-        assert basis_shape == (M, rows)
+    for (rows, c), t_shape, d_shape in shapes:
+        assert rows == M and c < M
+        assert t_shape == (c, c) and d_shape == (c,)
 
 
 @pytest.mark.parametrize("zeroed", [("G1",), ("G1", "G2")], ids=["G1", "G1-G2"])
 def test_run_drop_zero_gains_raise_normalization_error(monkeypatch, zeroed):
-    # an all-zero channel adds nothing to the Gram core (r = 0 when both
-    # are zero), so it ends in balance_matrix's NormalizationError (exit 3)
+    # an all-zero channel, with its range factor, gives a zero Gram total,
+    # so it ends in the weights' NormalizationError (exit 3)
     import risbal.sim
 
     original = risbal.sim.gen_channel_set
 
     def silent(cfg, rng):
         cs = original(cfg, rng)
-        return replace(cs, **{name: np.zeros_like(getattr(cs, name)) for name in zeroed})
+        return replace(cs, **{name: np.zeros_like(getattr(cs, name))
+                              for G in zeroed for name in (G, f"{G}_range")})
 
     monkeypatch.setattr(risbal.sim, "gen_channel_set", silent)
     with pytest.raises(NormalizationError):
