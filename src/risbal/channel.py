@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ArrayGeometry, RicianLinkParams, ScenarioConfig
+from .config import ArrayGeometry, RicianLinkParams, ScenarioConfig, _db_to_linear
 from .errors import GeometryError, NumericalError
 
 __all__ = [
@@ -110,7 +110,7 @@ def path_loss_linear(
         )
         distance_m = d0_m
     try:
-        gain = 10.0 ** (c0_db / 10.0) * (distance_m / d0_m) ** (-exponent)
+        gain = _db_to_linear(c0_db) * (distance_m / d0_m) ** (-exponent)
     except OverflowError:
         gain = math.inf
     if not 0.0 < gain < math.inf:
@@ -163,7 +163,7 @@ def gen_rician_matrix(
     spread = np.deg2rad(params.angular_spread_deg)
     offsets = -spread + (2.0 * spread) * draws[..., :-2]
 
-    kappa = 10.0 ** (params.rician_factor_db / 10.0)
+    kappa = _db_to_linear(params.rician_factor_db)
     gains = (draws[..., -2] + 1j * draws[..., -1]) / np.sqrt(2.0)
     c = np.empty(pl_gain.shape + (L + 1,), dtype=np.complex128)
     c[..., 0] = np.sqrt(kappa / (kappa + 1.0)) if L else 1.0

@@ -51,6 +51,14 @@ def _fits(value: object, tp: object, minus_inf_ok: bool = False) -> bool:
     return isinstance(value, tp)  # a nested config, which checked itself when built
 
 
+def _db_to_linear(db: float) -> float:
+    """10^(db/10), or inf where that overflows: the one conversion of a dB setting."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _check_types(obj: object, *minus_inf_ok: str) -> None:
     """Raise ConfigError unless each field has its declared type; minus_inf_ok may be -inf."""
     for name, tp in _field_types(type(obj)).items():
@@ -116,6 +124,9 @@ class RicianLinkParams:
             raise ConfigError("nlos_path_count must be nonnegative")
         if self.angular_spread_deg < 0:
             raise ConfigError("angular_spread_deg must be nonnegative")
+        if _db_to_linear(self.rician_factor_db) == math.inf:
+            raise ConfigError(
+                f"rician_factor_db = {self.rician_factor_db} is out of range in linear scale")
 
 
 @dataclass(frozen=True)
@@ -165,36 +176,24 @@ class ScenarioConfig:
             raise ConfigError("user_height must be nonnegative")
         if self.pathloss_ref_distance_m <= 0:
             raise ConfigError("pathloss_ref_distance_m must be positive")
-        # (name, dB value, zero allowed): a weight or Rician factor may be
-        # 0 in linear scale, a power or the path-loss reference may not
-        in_db = [
-            ("p_t_dbm", self.p_t_dbm, False),
-            ("noise_dbm", self.noise_dbm, False),
-            ("pathloss_ref_db", self.pathloss_ref_db, False),
-            ("lambda_db", self.lambda_db, True),
-        ] + [
-            (f"{key} Rician factor", getattr(self, key).rician_factor_db, True)
-            for key in ("direct_link", "ris_user_link", "bs_ris_link")
-        ]
-        for key, db, zero_ok in in_db:
-            try:
-                linear = 10.0 ** (db / 10.0)
-            except OverflowError:
-                linear = math.inf
-            if linear == math.inf or (linear == 0.0 and not zero_ok):
-                raise ConfigError(f"{key} = {db} is out of range in linear scale")
+        linear = {"p_t_dbm": self.transmit_power_w, "noise_dbm": self.noise_var_w,
+                  "pathloss_ref_db": _db_to_linear(self.pathloss_ref_db),
+                  "lambda_db": self.lambda_linear}
+        for key, value in linear.items():
+            if value == math.inf or (value == 0.0 and key != "lambda_db"):
+                raise ConfigError(f"{key} = {getattr(self, key)} is out of range in linear scale")
 
     @property
     def lambda_linear(self) -> float:
-        return 10.0 ** (self.lambda_db / 10.0)
+        return _db_to_linear(self.lambda_db)
 
     @property
     def transmit_power_w(self) -> float:
-        return 10.0 ** ((self.p_t_dbm - 30.0) / 10.0)
+        return _db_to_linear(self.p_t_dbm - 30.0)
 
     @property
     def noise_var_w(self) -> float:
-        return 10.0 ** ((self.noise_dbm - 30.0) / 10.0)
+        return _db_to_linear(self.noise_dbm - 30.0)
 
 
 def _parse_number(text: str, kind: type = float) -> float:

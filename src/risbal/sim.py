@@ -334,7 +334,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         except ValueError:
             raise ConfigError(f"--values must be a comma-separated number list, got {args.values!r}")
         sweep = SweepParam(args.sweep)
-        write_csv(run_sweep(cfg, sweep, values, crn=args.crn), args.out, sweep)
+        with np.errstate(over="raise", invalid="raise"):  # a numerical failure, not a warning
+            write_csv(run_sweep(cfg, sweep, values, crn=args.crn), args.out, sweep)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"risbal: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -171,7 +171,7 @@ def test_rcg_matches_phase_grid_oracle_m3(seed):
     v = vecs[:, -1]
     phi0 = retract_point(np.where(np.abs(v) == 0, 1.0, v))
     phi, trace = rcg_minimize(
-        lambda p: -quadform(p, R), lambda p: -(R @ p), phi0
+        lambda p: -quadform(p, R), lambda p: -2.0 * (R @ p), phi0
     )
     gap = (trace.objective_values[-1] - f_grid) / abs(f_grid)
     assert gap < 0.02
@@ -182,7 +182,7 @@ def test_rcg_monotone_trace_and_gradient_convergence():
     M = 32
     R = random_hermitian(M, rng)
     phi0 = random_phi(M, rng)
-    phi, trace = rcg_minimize(lambda p: -quadform(p, R), lambda p: -(R @ p), phi0)
+    phi, trace = rcg_minimize(lambda p: -quadform(p, R), lambda p: -2.0 * (R @ p), phi0)
     assert np.all(np.diff(trace.objective_values) <= 0)
     assert unit_modulus_error(phi) < 1e-12
     assert trace.converged_by is ConvergedBy.GRAD_NORM

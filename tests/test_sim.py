@@ -11,7 +11,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 from conftest import small_cfg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risbal.sim
@@ -537,6 +537,9 @@ def test_config_validation_rejects_degenerate_values():
         dict(p_t_dbm=-1e308),
         dict(noise_dbm=nan),
         dict(noise_dbm=1e308),
+        # 0 W as used, though 10^(x/10) of the dB value alone is positive
+        dict(p_t_dbm=-3220.0),
+        dict(noise_dbm=-3220.0),
         dict(theta_rad=math.inf),
         dict(cell1_radius=nan),
         dict(cell2_center=(75.0, nan)),
@@ -552,6 +555,17 @@ def test_config_validation_rejects_degenerate_values():
         with pytest.raises(ConfigError):
             build()
     replace(ScenarioConfig(), lambda_db=-math.inf)
+
+
+def test_rician_link_checks_its_own_factor():
+    # a link config is valid on its own: a factor whose linear value overflows
+    # is rejected when the link is built, not by the scenario holding it
+    with pytest.raises(ConfigError, match="rician_factor_db = 4000.0"):
+        RicianLinkParams(2.5, 4000.0, 8)
+    with pytest.raises(ConfigError, match="^direct_link: rician_factor_db"):
+        parse_config_text("direct_link = 4.2,4000,8")
+    RicianLinkParams(2.5, 3000.0, 8)  # 10^300 is finite
+    RicianLinkParams(2.5, -4000.0, 8)  # a factor of 0: a Rayleigh link
 
 
 _CONFIG_CLASSES = (ArrayGeometry, Position3D, RicianLinkParams, ScenarioConfig)
@@ -759,7 +773,10 @@ _INF_DISTANCE = "path-loss gain 0 at inf m is not in (0, inf)"
     ("cell1_radius = 1e300", "20", _INF_DISTANCE),
     ("bs1_pos = 1e308,0,15\nris_pos = -1e308,25,10", "20", _INF_DISTANCE),  # the offset overflows
     ("", "2000", "Hessian product returned non-finite values"),  # Hessian products overflow
-], ids=["far-surface", "huge-cell", "offset-overflow", "huge-weight"])
+    # a power or noise of 10^307 W passes the range check; the rates or the precoder overflow
+    ("p_t_dbm = 3100", "20", "overflow encountered in divide"),
+    ("noise_dbm = 3100", "20", "degenerate beam direction"),
+], ids=["far-surface", "huge-cell", "offset-overflow", "huge-weight", "huge-power", "huge-noise"])
 def test_cli_overflow_exits_3_with_one_line(tmp_path, lines, value, message):
     # the overflow is reported by the exit-3 message alone, without numpy's
     # floating-point warnings ahead of it
@@ -879,26 +896,32 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
 
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text(CFG_TEXT)
+    # -3220 dBm is 0 W as used, though 10^(x/10) of the dB value alone is positive
     for sweep, values in (("txpower", "inf"), ("txpower", "1e308"), ("txpower", "nan"),
-                          ("lambda", "1e308"), ("lambda", "10,0,10")):
+                          ("txpower", "-3220"), ("lambda", "1e308"), ("lambda", "10,0,10")):
         out = tmp_path / "v.csv"
         code = cli_main([
             "--config", str(cfg_file), "--sweep", sweep, "--values", values,
             "--out", str(out),
         ])
         assert code == 2, (sweep, values)
+        assert capsys.readouterr().err.count("\n") == 1, (sweep, values)
         assert not out.exists()
     for line in ("theta_rad = inf", "p_t_dbm = nan", "noise_dbm = nan", "ris_pos = 40,nan,10",
+                 "p_t_dbm = -3220", "noise_dbm = -3220",
                  "pathloss_ref_db = 5000", "pathloss_ref_db = -5000",
-                 "direct_link = 4.2,5000,8"):
+                 "direct_link = 4.2,5000,8", "direct_link = 4.2,4000,8"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CFG_TEXT + line + "\n")
+        out = tmp_path / "x.csv"
         code = cli_main([
             "--config", str(bad), "--sweep", "lambda", "--values", "0",
-            "--out", str(tmp_path / "x.csv"),
+            "--out", str(out),
         ])
         assert code == 2, line
-        assert line.split()[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and line.split()[0] in err, line
+        assert not out.exists(), line
 
 
 def test_cli_vanishing_path_loss_exits_3(tmp_path, capsys):
@@ -974,6 +997,8 @@ def _run_cli_expect_contract(cfg_text, sweep, value):
     sweep=st.sampled_from(["txpower", "lambda"]),
     value=st.floats(allow_nan=True, allow_infinity=True),
 )
+@example("txpower", -3220.0)  # 10^(x/10) is positive, the watts are 0
+@example("txpower", 3100.0)  # a finite 10^307 W whose rates overflow
 def test_cli_any_sweep_value_keeps_exit_contract(sweep, value):
     # a parsed float either gives finite rows or a documented exit code;
     # an escaping exception fails the test
@@ -981,31 +1006,38 @@ def test_cli_any_sweep_value_keeps_exit_contract(sweep, value):
 
 
 _EXTREME = st.one_of(
-    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, 300.0, -300.0]),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, 300.0, -300.0,
+                     -3220.0, 3100.0]),
     st.floats(),
 )
 _LINKS = ("direct_link", "ris_user_link", "bs_ris_link")
+_LINK_PARTS = ("exponent", "rician_db")  # a link field's overridable values, 3 when not drawn
 _RIS_POS = ("ris_x", "ris_y", "ris_z")
 
 
 @settings(max_examples=30, deadline=None)
 @given(overrides=st.dictionaries(
     st.sampled_from(("pathloss_ref_db", "p_t_dbm", "noise_dbm", "lambda_db", "theta_rad")
-                    + _LINKS + _RIS_POS),
+                    + tuple(f"{link}.{part}" for link in _LINKS for part in _LINK_PARTS)
+                    + _RIS_POS),
     _EXTREME,
     min_size=1,
     max_size=3,
 ))
+@example({"p_t_dbm": -3220.0})  # 0 W as used
+@example({"p_t_dbm": 3100.0})  # a finite 10^307 W whose rates overflow
 def test_cli_any_parsed_config_keeps_exit_contract(overrides):
     # up to three physical fields of a config file take extreme values (a
-    # link field its path-loss exponent, ris_x/y/z one surface coordinate);
-    # the rest keep their defaults so the numerical path is reached too
-    lines = []
-    for key, v in overrides.items():
-        if key in _LINKS:
-            lines.append(f"{key} = {v!r},3,2")
-        elif key not in _RIS_POS:
-            lines.append(f"{key} = {v!r}")
+    # link field its path-loss exponent or Rician factor, ris_x/y/z one
+    # surface coordinate); the rest keep their defaults so the numerical
+    # path is reached too
+    lines = [f"{key} = {v!r}" for key, v in overrides.items()
+             if "." not in key and key not in _RIS_POS]
+    for link in _LINKS:
+        keys = [f"{link}.{part}" for part in _LINK_PARTS]
+        if any(key in overrides for key in keys):
+            exponent, rician_db = (overrides.get(key, 3.0) for key in keys)
+            lines.append(f"{link} = {exponent!r},{rician_db!r},2")
     if any(key in overrides for key in _RIS_POS):
         pos = (overrides.get(key, d) for key, d in zip(_RIS_POS, (40.0, 25.0, 10.0)))
         lines.append("ris_pos = " + ",".join(repr(v) for v in pos))
