@@ -32,7 +32,6 @@ from .manifold import (
     RcgConfig,
     RcgTrace,
     rcg_minimize,
-    retract_point,
 )
 from .metrics import RateReport, evaluate
 from .ris_design import (

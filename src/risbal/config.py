@@ -6,7 +6,8 @@ noise, pi/6 inter-band phase offset and a 20 dB balancing weight.
 
 Every config class checks itself when built, also by ``replace``: each value
 must have its field's annotated type (Python or numpy numbers, a float finite
-but lambda_db may be -inf, never a bool) and range, or ConfigError is raised.
+but lambda_db may be -inf, never a bool) and range, or ConfigError is raised;
+a number is kept as its field's Python type.
 
 Config files are flat UTF-8 ``key = value`` text. Keys are ScenarioConfig
 field names, each given at most once; unknown keys are rejected. A key's
@@ -60,13 +61,19 @@ def _db_to_linear(db: float) -> float:
 
 
 def _check_types(obj: object, *minus_inf_ok: str) -> None:
-    """Raise ConfigError unless each field has its declared type; minus_inf_ok may be -inf."""
+    """Raise ConfigError unless each field has its declared type; minus_inf_ok may be -inf.
+    Each number is then stored as its field's Python type, so a numpy float32
+    setting computes in double precision like the same Python float."""
     for name, tp in _field_types(type(obj)).items():
         value = getattr(obj, name)
         if not _fits(value, tp, name in minus_inf_ok):
             kind = _KINDS.get(tp, f"of type {tp.__name__}")
             kind += " or -inf" if name in minus_inf_ok else ""
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if tp in (int, float):
+            object.__setattr__(obj, name, tp(value))
+        elif get_origin(tp) is tuple:
+            object.__setattr__(obj, name, tuple(t(v) for t, v in zip(get_args(tp), value)))
 
 
 @dataclass(frozen=True)

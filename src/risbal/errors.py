@@ -9,10 +9,6 @@ class DimensionError(RisbalError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class RetractionSingularError(RisbalError, ArithmeticError):
-    """Retraction input has a zero entry; the step is degenerate."""
-
-
 class NumericalError(RisbalError, ArithmeticError):
     """A numerical routine produced non-finite values or failed to converge."""
 

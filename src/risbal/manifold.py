@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, RetractionSingularError
+from .errors import DimensionError, NumericalError
 
 # Trust-region settings, Manopt's defaults: accept a step whose decrease is
 # over _RHO_ACCEPT of the model's; shrink the radius 4x below _RHO_SHRINK and
@@ -38,15 +38,6 @@ _TCG_KAPPA = 0.1
 def unit_modulus_error(phi: np.ndarray) -> float:
     """Largest deviation of |phi_m| from 1."""
     return float(np.max(np.abs(np.abs(phi) - 1.0)))
-
-
-def retract_point(x: np.ndarray) -> np.ndarray:
-    """Map an ambient vector back onto the manifold by entry-wise normalization."""
-    x = np.asarray(x, dtype=np.complex128)
-    mag = np.abs(x)
-    if np.any(mag == 0.0):
-        raise RetractionSingularError("retraction undefined: zero entry in input")
-    return x / mag
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -150,8 +150,8 @@ def design_eigen(gram: GramFactor, d: np.ndarray) -> np.ndarray:
             m = int(np.argmin(np.linalg.norm(Q, axis=1)))
             v = -(Q @ Q[m].conj())
             v[m] += 1.0
-    v = np.where(np.abs(v) == 0.0, 1.0, v)
-    return manifold.retract_point(v)
+    v = np.where(np.abs(v) == 0.0, 1.0 + 0j, v)  # complex also for a real factor
+    return v / np.abs(v)
 
 
 def design_random(M: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,10 +18,7 @@ phases and balanced designs (keyed by linear weight), and per transmit
 power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
 a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
 sweep computes only its Proposed design and rates.
-A drop runs on one BLAS thread, so the CSV does not depend on
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. This is a no-op where no loaded
-OpenBLAS exports openblas_set_num_threads_local (MKL, Accelerate, OpenBLAS
-before 0.3.27); there the CSV bytes at M = 512 can depend on those variables.
+A drop runs on one BLAS thread where OpenBLAS allows it (see the README).
 """
 
 from __future__ import annotations
@@ -186,17 +183,22 @@ def run_drop(
     its calls, so values with the same seed and a config that differs only in
     lambda_db and p_t_dbm reuse the draw; any other call replaces it. Nothing
     in a draw may depend on the weight, and only its per-power entries on the
-    transmit power. It runs on one BLAS thread.
+    transmit power. It runs on one BLAS thread, and a floating-point overflow
+    or invalid operation, or a failed factorization, in it raises
+    NumericalError, so the rates it returns are finite.
     """
     if shared is None:
         shared = {}
-    with _one_blas_thread():
-        drop = shared.get(drop_seed)
-        if drop is None or any(getattr(cfg, f) != getattr(drop.cfg, f) for f in _DROP_FIELDS):
-            shared.clear()
-            drop = shared[drop_seed] = _Drop(cfg, drop_seed)
-        F2, fixed = drop.weight_free(cfg.transmit_power_w)
-        proposed = drop.rates(drop.design(cfg.lambda_linear), cfg.transmit_power_w, F2)
+    with _one_blas_thread(), np.errstate(over="raise", invalid="raise"):
+        try:
+            drop = shared.get(drop_seed)
+            if drop is None or any(getattr(cfg, f) != getattr(drop.cfg, f) for f in _DROP_FIELDS):
+                shared.clear()
+                drop = shared[drop_seed] = _Drop(cfg, drop_seed)
+            F2, fixed = drop.weight_free(cfg.transmit_power_w)
+            proposed = drop.rates(drop.design(cfg.lambda_linear), cfg.transmit_power_w, F2)
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(str(exc)) from exc
     return {Scheme.PROPOSED: proposed, **fixed}
 
 
@@ -294,11 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "direct links). Drops run in order in one process, drop-major: each "
                "drop index runs every sweep value in turn, and values that share a "
                "drop (all of them with --crn) draw its channels and designs once. "
-               "A drop runs on one BLAS thread, so the CSV does not depend on "
-               "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. This is a no-op where no "
-               "loaded OpenBLAS exports openblas_set_num_threads_local (MKL, "
-               "Accelerate, OpenBLAS before 0.3.27); there the CSV bytes at M = 512 "
-               "can depend on those variables.",
+               "A drop runs on one BLAS thread where OpenBLAS allows it (see the README).",
     )
     parser.add_argument("--config", help="scenario config file (defaults used if omitted)")
     parser.add_argument(
@@ -334,9 +332,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         except ValueError:
             raise ConfigError(f"--values must be a comma-separated number list, got {args.values!r}")
         sweep = SweepParam(args.sweep)
-        with np.errstate(over="raise", invalid="raise"):  # a numerical failure, not a warning
-            write_csv(run_sweep(cfg, sweep, values, crn=args.crn), args.out, sweep)
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        write_csv(run_sweep(cfg, sweep, values, crn=args.crn), args.out, sweep)
+    except NumericalError as exc:
         print(f"risbal: numerical failure: {exc}", file=sys.stderr)
         return 3
     except RisbalError as exc:

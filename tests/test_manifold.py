@@ -11,8 +11,8 @@ from conftest import (
     tangency_error,
 )
 
-from risbal import ConvergedBy, RcgConfig, p1_problem, rcg_minimize, retract_point
-from risbal.errors import DimensionError, NumericalError, RetractionSingularError
+from risbal import ConvergedBy, RcgConfig, p1_problem, rcg_minimize
+from risbal.errors import DimensionError, NumericalError
 from risbal.manifold import _truncated_cg, unit_modulus_error
 
 
@@ -45,34 +45,6 @@ def test_project_idempotent_and_tangent(M):
 def test_project_dimension_mismatch():
     with pytest.raises(DimensionError):
         project_to_tangent(np.ones(3, dtype=complex), np.ones(2, dtype=complex))
-
-
-# ---------------------------------------------------------------- retraction
-
-def test_retract_identity_on_manifold():
-    rng = np.random.default_rng(1)
-    phi = random_phi(6, rng)
-    np.testing.assert_allclose(retract_point(phi), phi, atol=1e-15)
-
-
-def test_retract_normalizes():
-    np.testing.assert_allclose(retract_point(np.array([2.0, 2j])), np.array([1.0, 1j]), atol=1e-15)
-
-
-def test_retract_properties_random():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(50) * 10 ** rng.uniform(-3, 3, size=50) + 1j * rng.standard_normal(50)
-    out = retract_point(x)
-    assert unit_modulus_error(out) < 1e-12
-    back = out * np.conj(x)
-    # each product is |x_m|: a positive real
-    assert np.all(np.abs(back.imag) < 1e-9 * np.abs(back.real))
-    assert np.all(back.real > 0)
-
-
-def test_retract_zero_entry_raises():
-    with pytest.raises(RetractionSingularError):
-        retract_point(np.array([1.0, 0.0, 1j]))
 
 
 # -------------------------------------------------------------------- config
@@ -169,7 +141,8 @@ def test_rcg_matches_phase_grid_oracle_m3(seed):
     # eigen-rounded warm start
     _, vecs = np.linalg.eigh(R)
     v = vecs[:, -1]
-    phi0 = retract_point(np.where(np.abs(v) == 0, 1.0, v))
+    v = np.where(np.abs(v) == 0, 1.0, v)
+    phi0 = v / np.abs(v)
     phi, trace = rcg_minimize(
         lambda p: -quadform(p, R), lambda p: -2.0 * (R @ p), phi0
     )

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import math
 import os
@@ -137,6 +138,52 @@ def test_concurrent_drops_restore_the_callers_blas_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         setter(before)
+
+
+# a library caller's two ways into a drop; each must fail as the CLI does
+_ENTRY_POINTS = {
+    "run_drop": lambda cfg: run_drop(cfg, 7),
+    "run_sweep": lambda cfg: run_sweep(cfg, SweepParam.LAMBDA_DB, [0.0]),
+}
+
+
+@contextlib.contextmanager
+def _callers_blas_threads_kept():
+    """Run the block at 2 OpenBLAS threads, where a setter is found, and
+    check that the block leaves that count in place."""
+    setters = risbal.sim._openblas_setters()
+    before = setters[0](2) if setters else None
+    try:
+        yield
+        assert not setters or _blas_threads() == 2
+    finally:
+        if setters:
+            setters[0](before)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_library_overflow_raises_numerical_error_without_a_warning(entry):
+    # the CLI's huge-power case: 10^307 W passes the range check and the
+    # rates overflow, which a library caller gets as the CLI's error, not as
+    # numpy warnings and inf rows
+    cfg = replace(ScenarioConfig(), num_drops=2, p_t_dbm=3100.0)
+    with _callers_blas_threads_kept(), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^overflow encountered in divide$"):
+            _ENTRY_POINTS[entry](cfg)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_library_failed_factorization_raises_numerical_error(entry, monkeypatch):
+    # the channel draw's QR has no wrap of its own; the drop reports its failure
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    with _callers_blas_threads_kept():
+        with pytest.raises(NumericalError, match="^injected$") as info:
+            _ENTRY_POINTS[entry](small_cfg(num_drops=2))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
@@ -624,7 +671,35 @@ def test_config_accepts_python_and_numpy_numbers():
             continue  # a nested config's fields are cases of their own
         for kind in kinds:
             v = tuple(map(kind, value)) if isinstance(value, tuple) else kind(value)
-            assert getattr(replace(base, **{name: v}), name) == v, (name, kind)
+            got = getattr(replace(base, **{name: v}), name)
+            assert got == v, (name, kind)
+            # stored as the field's Python type, whatever number type came in
+            stored = got if isinstance(got, tuple) else (got,)
+            assert {type(x) for x in stored} == {int if tp is int else float}, (name, kind)
+
+
+def test_config_float32_settings_compute_as_python_floats(tmp_path):
+    # a numpy number is kept as the Python number it equals, so a float32
+    # setting writes the CSV bytes of that float instead of computing in float32
+    f32 = np.float32
+    plain = {"p_t_dbm": 27.3, "noise_dbm": -101.7, "theta_rad": 0.7, "pathloss_ref_db": -31.3}
+    link = (2.3, 4.7, 3, 12.3)  # exponent, Rician factor dB, paths, spread deg
+
+    def csv_bytes(num, name):
+        cfg = small_cfg(num_drops=2, ris_user_link=RicianLinkParams(
+            num(link[0]), num(link[1]), link[2], num(link[3])),
+            **{key: num(value) for key, value in plain.items()})
+        out = tmp_path / name
+        write_csv(run_sweep(cfg, SweepParam.LAMBDA_DB, [10.0]), str(out), SweepParam.LAMBDA_DB)
+        return out.read_bytes()
+
+    assert csv_bytes(f32, "f32.csv") == csv_bytes(lambda v: float(f32(v)), "py.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        power = replace(ScenarioConfig(), p_t_dbm=f32(500.0)).transmit_power_w
+        assert power == ScenarioConfig(p_t_dbm=500.0).transmit_power_w
+        with pytest.raises(ConfigError, match="p_t_dbm = 4000.0 is out of range"):
+            replace(ScenarioConfig(), p_t_dbm=f32(4000.0))
 
 
 def test_sweep_validates_each_value():
@@ -714,6 +789,13 @@ def _run_python(*args, **env):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_cli_help_prints_the_epilog():
+    proc = _run_python("-m", "risbal", "--help")
+    assert proc.returncode == 0, proc.stderr
+    epilog = risbal.sim._build_parser().epilog
+    assert " ".join(epilog.split()) in " ".join(proc.stdout.split())
 
 
 @needs_openblas
