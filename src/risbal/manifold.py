@@ -95,7 +95,7 @@ def _truncated_cg(hess: Callable[[np.ndarray], np.ndarray], g: np.ndarray, radiu
     Hess[eta], whether eta lies on the boundary).
     """
     eta = np.zeros_like(g)
-    r = g
+    r = g.copy()
     r_r = _inner(r, r)
     if r_r == 0.0:
         return eta, eta, False
@@ -112,8 +112,8 @@ def _truncated_cg(hess: Callable[[np.ndarray], np.ndarray], g: np.ndarray, radiu
         if not d_hd > 0.0 or r_r >= tau * d_hd:
             return eta + tau * delta, (r - g) + tau * h_delta, True
         alpha = r_r / d_hd
-        eta = eta + alpha * delta
-        r = r + alpha * h_delta
+        eta += alpha * delta
+        r += alpha * h_delta
         r_r_next = _inner(r, r)
         if math.sqrt(r_r_next) <= target:
             break
@@ -121,7 +121,8 @@ def _truncated_cg(hess: Callable[[np.ndarray], np.ndarray], g: np.ndarray, radiu
         e_e = e_e + alpha * (2.0 * e_d + alpha * d_d)
         e_d = beta * (e_d + alpha * d_d)
         d_d = r_r_next + beta * beta * d_d
-        delta = beta * delta - r
+        delta *= beta
+        delta -= r
         r_r = r_r_next
     return eta, r - g, False
 
@@ -132,7 +133,7 @@ def rcg_minimize(
     phi0: Sequence[complex] | np.ndarray,
     cfg: RcgConfig | None = None,
 ) -> tuple[np.ndarray, RcgTrace]:
-    """Minimize a smooth objective over the complex circle manifold.
+    """Minimize an objective with an affine gradient over the circle manifold.
 
     Riemannian trust-region method (Absil, Baker & Gallivan 2007) with a
     truncated-CG inner solve in real tangent coordinates (see the module
@@ -140,13 +141,13 @@ def rcg_minimize(
     radius starts at pi * sqrt(M) / 8 and is capped at pi * sqrt(M). With
     p = conj(phi) * euclid_grad(phi), the gradient's coordinates are Im(p), and
         Hess f(phi)[x] = Im(conj(phi) * ehess[x]) - Re(p) * x,
-    where ehess[x] is the difference quotient of euclid_grad over the unit
-    step i phi * x / ||x||: exact for affine gradients such as -2 R phi, at one
-    euclid_grad call. NumericalError is raised for a non-finite objective at
-    phi0 or a candidate, a non-finite gradient at phi0 or an accepted point,
-    and a non-finite predicted decrease; a Hessian product that is not finite
-    ends the inner solve through its curvature test. The stop reasons,
-    reported in RcgTrace.converged_by:
+    where ehess[x] = euclid_grad(i phi * x) - euclid_grad(0), one call per
+    product plus one at 0 per solve, is exact as euclid_grad must be affine
+    (as -2 R phi - 2 c is). NumericalError is raised for a non-finite
+    objective at phi0 or a candidate, a non-finite gradient at phi0 or an
+    accepted point, and a non-finite predicted decrease; a Hessian product
+    that is not finite ends the inner solve through its curvature test. The
+    stop reasons, reported in RcgTrace.converged_by:
 
       GRAD_NORM    the Riemannian gradient norm fell below grad_tol
       MAX_ITERS    max_iters outer iterations were taken
@@ -185,11 +186,10 @@ def rcg_minimize(
         return phi_c, 1j * point, p.imag.copy(), p.real.copy()
 
     def hess(x: np.ndarray) -> np.ndarray:
-        norm = math.sqrt(_inner(x, x))
-        probe = euclid_grad(phi + iphi * (x / norm))
-        return ((probe - eg) * phi_c).imag * norm - curvature * x
+        return ((euclid_grad(iphi * x) - eg0) * phi_c).imag - curvature * x
 
     f = value(phi)
+    eg0 = euclid_grad(np.zeros(M, dtype=np.complex128))
     eg = egrad(phi)
     phi_c, iphi, g, curvature = frame(phi, eg)
     values = [f]

@@ -106,7 +106,7 @@ def p1_problem(gram: GramFactor, d: np.ndarray) -> tuple[Callable, Callable]:
     """(objective, euclid_grad) of minimizing -phi^H R phi for R = B diag(d) B^H:
     with z = B^H phi, -sum_j d_j |z_j|^2 and -2 R phi = B (-2 d o z), two
     matvecs of O(M c) each. The gradient is linear in phi, so the solver's
-    difference-quotient Hessian products are exact."""
+    Hessian products, one gradient call each, are exact."""
     B, Bh = gram.B, gram.Bh
     scale = -2.0 * d
 

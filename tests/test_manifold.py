@@ -87,7 +87,8 @@ def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
     # an indefinite Hessian sends every solve to the boundary; a
     # positive-definite one lets a large radius hold the CG solution inside.
     # The solver calls it in real tangent coordinates; a complex tangent
-    # space with a projected Hessian must give the same guarantees
+    # space with a projected Hessian must give the same guarantees. The
+    # iterates are updated in place, and g must come out unchanged
     rng = np.random.default_rng(6)
     M = 8
     phi = random_phi(M, rng)
@@ -102,7 +103,9 @@ def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
     for hess, g, H_case, off_tangent in cases:
         if definite:
             H_case[...] = H_case @ H_case + np.eye(M)
+        g_before = g.copy()
         eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+        np.testing.assert_array_equal(g, g_before)
         norm = np.linalg.norm(eta)
         assert norm <= radius * (1 + 1e-12)
         assert at_boundary == (norm >= radius * (1 - 1e-12))
@@ -114,6 +117,65 @@ def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
 
 
 # -------------------------------------------------------------------- solver
+
+def test_rcg_exact_hessian_for_affine_gradient():
+    # f = -phi^H R phi - 2 Re(c^H phi) has the affine gradient -2 R phi - 2 c.
+    # The Hessian product subtracts euclid_grad(0) = -2c from euclid_grad(i
+    # phi x), which leaves the exact -2 R (i phi x): the solve converges in
+    # 10-30 outer iterations. Without that subtraction the constant -2c enters
+    # every product and the same solves run to the 500-iteration cap.
+    rng = np.random.default_rng(18)
+    M = 32
+    R = random_hermitian(M, rng)
+    c = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    phi, trace = rcg_minimize(
+        lambda p: -quadform(p, R) - 2.0 * float(np.vdot(c, p).real),
+        lambda p: -2.0 * (R @ p) - 2.0 * c,
+        random_phi(M, rng),
+    )
+    assert trace.converged_by is ConvergedBy.GRAD_NORM
+    assert trace.iterations <= 60
+    assert np.all(np.diff(trace.objective_values) <= 0)
+
+
+def test_rcg_calls_gradient_only_on_points_zero_and_tangent_vectors():
+    # every euclid_grad call is phi0, an accepted point, the zero vector
+    # (once per solve) or a tangent vector i phi * x at the current iterate
+    # phi; no off-manifold probe phi + i phi * x / ||x|| is left
+    rng = np.random.default_rng(19)
+    M = 24
+    R = random_hermitian(M, rng)
+    phi0 = random_phi(M, rng)
+    candidates, args = [], []
+
+    def objective(p):
+        candidates.append(p.copy())
+        return -quadform(p, R)
+
+    def grad(p):
+        args.append(p.copy())
+        return -2.0 * (R @ p)
+
+    phi, trace = rcg_minimize(objective, grad, phi0)
+    assert trace.converged_by is ConvergedBy.GRAD_NORM
+    zeros, points, tangents = 0, [], 0
+    current = phi0
+    for v in args:
+        if not v.any():
+            zeros += 1
+        elif unit_modulus_error(v) < 1e-12:
+            # phi0 is the first point the objective sees
+            assert any(np.array_equal(v, p) for p in candidates)
+            current = v
+            points.append(v)
+        else:
+            assert np.max(np.abs((current.conj() * v).real)) <= 1e-12 * np.max(np.abs(v))
+            tangents += 1
+    assert zeros == 1
+    np.testing.assert_array_equal(points[0], phi0)
+    np.testing.assert_array_equal(current, phi)
+    assert len(points) > 1 and tangents >= trace.iterations
+
 
 def test_rcg_scaled_identity_stays_at_start():
     # gradient of -phi^H (cI) phi lies in the normal space, so the projected
@@ -155,7 +217,9 @@ def test_rcg_monotone_trace_and_gradient_convergence():
     M = 32
     R = random_hermitian(M, rng)
     phi0 = random_phi(M, rng)
+    phi0_before = phi0.copy()
     phi, trace = rcg_minimize(lambda p: -quadform(p, R), lambda p: -2.0 * (R @ p), phi0)
+    np.testing.assert_array_equal(phi0, phi0_before)  # the solver never mutates its inputs
     assert np.all(np.diff(trace.objective_values) <= 0)
     assert unit_modulus_error(phi) < 1e-12
     assert trace.converged_by is ConvergedBy.GRAD_NORM
@@ -219,9 +283,10 @@ def test_rcg_nonfinite_gradient_raises():
 
 def test_rcg_nonfinite_hessian_product_raises():
     # the gradient is finite at every unit-modulus point, so each accepted
-    # point passes its check, but nan at the off-manifold points where the
-    # Hessian products probe it: the first inner step ends on its curvature
-    # test and the non-finite predicted decrease raises
+    # point passes its check, but nan off the manifold: at the tangent
+    # vectors where the Hessian products call it, and at the call at 0 they
+    # subtract. The first inner step ends on its curvature test and the
+    # non-finite predicted decrease raises
     rng = np.random.default_rng(15)
     M = 16
     R = random_hermitian(M, rng)
