@@ -5,9 +5,11 @@ numpy arrays. Tangent vectors at phi satisfy Re(t_m * conj(phi_m)) = 0 per
 entry. The metric is the real part of the Euclidean Hermitian inner product.
 Inside the solver a tangent vector is t = i phi * x with x real of length M;
 as |phi_m| = 1 this map is an isometry, Re<t1, t2> = x1 . x2, so the inner
-solve runs on real vectors and a step maps back to the manifold once. The
-solver stops on a small Riemannian gradient norm, at its iteration cap, or
-when its trust radius has shrunk below what double precision resolves.
+solve runs on real vectors and a step maps back to the manifold once. Near a
+minimizer the solve enters a Newton phase, where a caller's preconditioner,
+if given, preconditions the inner solve. The solver stops on a small
+Riemannian gradient norm, at its iteration cap, or when its trust radius has
+shrunk below what double precision resolves.
 
 All functions are pure and never mutate their inputs; the solver is
 single-threaded per call and safe to run concurrently from many threads.
@@ -82,17 +84,22 @@ class RcgTrace:
 
 
 def _truncated_cg(hess: Callable[[np.ndarray], np.ndarray], g: np.ndarray, radius: float,
-                  max_inner: int) -> tuple[np.ndarray, np.ndarray, bool]:
+                  max_inner: int, pinv: Callable[[np.ndarray], np.ndarray] | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Steihaug-Toint truncated CG on the model <g, eta> + <eta, Hess[eta]>/2.
 
     Starts at eta = 0 and runs CG until the residual is small or max_inner
     iterations have passed. On curvature that is not positive (nan included),
-    or when the next iterate would leave the ball ||eta|| <= radius, it steps
-    along the current direction to the boundary instead. Each iterate lowers
-    the model. <eta, eta>, <eta, delta> and <delta, delta> follow Conn, Gould
-    & Toint's recurrences (2000, sec. 7.5), two inner products a step, and
-    Hess[eta] is the residual r = g + Hess[eta] less g. Returns (eta,
-    Hess[eta], whether eta lies on the boundary).
+    or when the next iterate would leave the ball ||eta||_P <= radius, it
+    steps along the current direction to the boundary instead. Each iterate
+    lowers the model. With pinv, the inverse of a symmetric positive-definite
+    P, the solve is preconditioned CG and the ball is in the norm
+    ||eta||_P = sqrt(<eta, P eta>); with pinv None, P = I. <eta, eta>_P,
+    <eta, delta>_P and <delta, delta>_P follow Conn, Gould & Toint's
+    recurrences (2000, sec. 7.5), so P itself is never applied, and
+    Hess[eta] is the residual r = g + Hess[eta] less g. The stop test is on
+    the Euclidean ||r|| in either case. Returns (eta, Hess[eta], whether eta
+    lies on the boundary).
     """
     eta = np.zeros_like(g)
     r = g.copy()
@@ -100,30 +107,38 @@ def _truncated_cg(hess: Callable[[np.ndarray], np.ndarray], g: np.ndarray, radiu
     if r_r == 0.0:
         return eta, eta, False
     target = math.sqrt(r_r) * min(math.sqrt(r_r), _TCG_KAPPA)
-    delta = -r
-    e_e, e_d, d_d = 0.0, 0.0, r_r
+    # z = P^-1 r; without a preconditioner z is r itself, updated with it
+    z = r if pinv is None else pinv(r)
+    r_z = r_r if pinv is None else _inner(r, z)
+    delta = -z
+    e_e, e_d, d_d = 0.0, 0.0, r_z
     for _ in range(max_inner):
         h_delta = hess(delta)
         d_hd = _inner(delta, h_delta)
-        # tau solves ||eta + tau delta|| = radius; comparing alpha = r_r/d_hd
+        # tau solves ||eta + tau delta||_P = radius; comparing alpha = r_z/d_hd
         # with it by product avoids dividing by a vanishing curvature
         room = max(0.0, radius * radius - e_e)
         tau = (math.sqrt(e_d * e_d + d_d * room) - e_d) / d_d
-        if not d_hd > 0.0 or r_r >= tau * d_hd:
+        if not d_hd > 0.0 or r_z >= tau * d_hd:
             return eta + tau * delta, (r - g) + tau * h_delta, True
-        alpha = r_r / d_hd
+        alpha = r_z / d_hd
         eta += alpha * delta
         r += alpha * h_delta
-        r_r_next = _inner(r, r)
-        if math.sqrt(r_r_next) <= target:
+        r_r = _inner(r, r)
+        if math.sqrt(r_r) <= target:
             break
-        beta = r_r_next / r_r
+        if pinv is None:
+            r_z_next = r_r
+        else:
+            z = pinv(r)
+            r_z_next = _inner(r, z)
+        beta = r_z_next / r_z
         e_e = e_e + alpha * (2.0 * e_d + alpha * d_d)
         e_d = beta * (e_d + alpha * d_d)
-        d_d = r_r_next + beta * beta * d_d
+        d_d = r_z_next + beta * beta * d_d
         delta *= beta
-        delta -= r
-        r_r = r_r_next
+        delta -= z
+        r_z = r_z_next
     return eta, r - g, False
 
 
@@ -132,6 +147,8 @@ def rcg_minimize(
     euclid_grad: Callable[[np.ndarray], np.ndarray],
     phi0: Sequence[complex] | np.ndarray,
     cfg: RcgConfig | None = None,
+    preconditioner: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
+    | None = None,
 ) -> tuple[np.ndarray, RcgTrace]:
     """Minimize an objective with an affine gradient over the circle manifold.
 
@@ -143,7 +160,20 @@ def rcg_minimize(
         Hess f(phi)[x] = Im(conj(phi) * ehess[x]) - Re(p) * x,
     where ehess[x] = euclid_grad(i phi * x) - euclid_grad(0), one call per
     product plus one at 0 per solve, is exact as euclid_grad must be affine
-    (as -2 R phi - 2 c is). NumericalError is raised for a non-finite
+    (as -2 R phi - 2 c is).
+
+    The inner solve is plain truncated CG in the ball ||eta|| <= radius until
+    the Newton phase. That phase starts when a step is accepted that ended
+    inside the trust region and the new gradient norm is below _TCG_KAPPA
+    (0.1), where the inner solve's stop rule is already superlinear, and
+    ends at the next step that reaches the trust boundary or is rejected.
+    If preconditioner is given, it is called once on entering the phase as
+    preconditioner(phi, curvature), with curvature = Re(p) at that point, and
+    returns pinv, a function that maps a real vector of tangent coordinates
+    x to P^-1 x for a symmetric positive-definite P; the phase's inner solves
+    are preconditioned CG with the trust region in the norm
+    sqrt(<eta, P eta>). Without a preconditioner, or outside the phase, the
+    solve does not depend on it. NumericalError is raised for a non-finite
     objective at phi0 or a candidate, a non-finite gradient at phi0 or an
     accepted point, and a non-finite predicted decrease; a Hessian product
     that is not finite ends the inner solve through its curvature test. The
@@ -192,11 +222,13 @@ def rcg_minimize(
     eg0 = euclid_grad(np.zeros(M, dtype=np.complex128))
     eg = egrad(phi)
     phi_c, iphi, g, curvature = frame(phi, eg)
+    g_norm = math.sqrt(_inner(g, g))
+    pinv = None
     values = [f]
     converged = ConvergedBy.MAX_ITERS
 
     for _ in range(cfg.max_iters):
-        if math.sqrt(_inner(g, g)) < grad_tol:
+        if g_norm < grad_tol:
             converged = ConvergedBy.GRAD_NORM
             break
         if radius < np.finfo(float).eps * max_radius:
@@ -205,7 +237,7 @@ def rcg_minimize(
 
         # a Hessian product that overflows is reported by the check below, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+            eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M, pinv)
             predicted = -(_inner(g, eta) + 0.5 * _inner(eta, h_eta))
         if not math.isfinite(predicted):
             raise NumericalError("Hessian product returned non-finite values")
@@ -218,10 +250,17 @@ def rcg_minimize(
             radius /= 4.0
         elif at_boundary and actual > _RHO_GROW * predicted:
             radius = min(2.0 * radius, max_radius)
-        if predicted > 0.0 and actual > _RHO_ACCEPT * predicted:
+        accepted = predicted > 0.0 and actual > _RHO_ACCEPT * predicted
+        if at_boundary or not accepted:
+            pinv = None  # the Newton phase ends
+        if accepted:
             phi, f, eg = cand, f_cand, egrad(cand)
             phi_c, iphi, g, curvature = frame(phi, eg)
+            g_norm = math.sqrt(_inner(g, g))
+            if (preconditioner is not None and pinv is None and not at_boundary
+                    and g_norm < _TCG_KAPPA):
+                pinv = preconditioner(phi, curvature)  # the Newton phase starts
         values.append(f)
 
     return phi, RcgTrace(objective_values=np.asarray(values), iterations=len(values) - 1,
-                         converged_by=converged, final_grad_norm=math.sqrt(_inner(g, g)))
+                         converged_by=converged, final_grad_norm=g_norm)

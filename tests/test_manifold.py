@@ -88,7 +88,9 @@ def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
     # positive-definite one lets a large radius hold the CG solution inside.
     # The solver calls it in real tangent coordinates; a complex tangent
     # space with a projected Hessian must give the same guarantees. The
-    # iterates are updated in place, and g must come out unchanged
+    # iterates are updated in place, and g must come out unchanged. With a
+    # preconditioner pinv = P^-1, P = diag + low rank and P >= I, the ball
+    # is in the P-norm sqrt(<eta, P eta>)
     rng = np.random.default_rng(6)
     M = 8
     phi = random_phi(M, rng)
@@ -96,17 +98,29 @@ def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
     H_real = (H_real + H_real.T) / 2.0
     H = random_hermitian(M, rng)
     cases = [
-        (lambda u: H_real @ u, rng.standard_normal(M), H_real, lambda eta: 0.0),
+        (lambda u: H_real @ u, rng.standard_normal(M), H_real, lambda eta: 0.0, None),
         (lambda u: project_to_tangent(H @ u, phi), random_tangent(phi, rng), H,
-         lambda eta: tangency_error(eta, phi)),
+         lambda eta: tangency_error(eta, phi), None),
     ]
-    for hess, g, H_case, off_tangent in cases:
+    for rank in (1, 3):
+        U = rng.standard_normal((M, rank))
+        P = np.diag(1.0 + rng.uniform(size=M)) + U @ U.T
+        H_pre = rng.standard_normal((M, M))
+        H_pre = (H_pre + H_pre.T) / 2.0
+        cases.append((lambda u, H_pre=H_pre: H_pre @ u, rng.standard_normal(M), H_pre,
+                      lambda eta: 0.0, P))
+    for hess, g, H_case, off_tangent, P in cases:
         if definite:
             H_case[...] = H_case @ H_case + np.eye(M)
         g_before = g.copy()
-        eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+        if P is None:
+            eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M)
+            norm = np.linalg.norm(eta)
+        else:
+            P_inv = np.linalg.inv(P)
+            eta, h_eta, at_boundary = _truncated_cg(hess, g, radius, M, lambda r: P_inv @ r)
+            norm = np.sqrt(eta @ P @ eta)
         np.testing.assert_array_equal(g, g_before)
-        norm = np.linalg.norm(eta)
         assert norm <= radius * (1 + 1e-12)
         assert at_boundary == (norm >= radius * (1 - 1e-12))
         assert at_boundary == (not definite or radius < 100.0)
@@ -114,6 +128,22 @@ def test_truncated_cg_step_within_radius_lowers_model(definite, radius):
         np.testing.assert_allclose(h_eta, hess(eta), atol=1e-10)
         model = float(np.real(np.vdot(g, eta) + 0.5 * np.vdot(eta, h_eta)))
         assert model < 0.0
+
+
+def test_truncated_cg_preconditioned_step_solves_newton_system():
+    # inside the ball, preconditioned CG ends at the Newton step -H^-1 g of a
+    # positive-definite H to the stop test's accuracy, whatever P
+    rng = np.random.default_rng(7)
+    M = 12
+    H = rng.standard_normal((M, M))
+    H = H @ H.T + np.eye(M)
+    U = rng.standard_normal((M, 2))
+    P_inv = np.linalg.inv(np.diag(1.0 + rng.uniform(size=M)) + U @ U.T)
+    g = 1e-3 * rng.standard_normal(M)
+    eta, _, at_boundary = _truncated_cg(lambda u: H @ u, g, 100.0, M, lambda r: P_inv @ r)
+    assert not at_boundary
+    newton = -np.linalg.solve(H, g)
+    assert np.linalg.norm(eta - newton) <= 1e-3 * np.linalg.norm(newton)
 
 
 # -------------------------------------------------------------------- solver
@@ -135,6 +165,41 @@ def test_rcg_exact_hessian_for_affine_gradient():
     )
     assert trace.converged_by is ConvergedBy.GRAD_NORM
     assert trace.iterations <= 60
+    assert np.all(np.diff(trace.objective_values) <= 0)
+
+
+def test_rcg_preconditioner_only_in_newton_phase():
+    # the preconditioner is called only at accepted points whose gradient
+    # norm is below 0.1, with Re(conj phi o euclid_grad(phi)) there. Steps
+    # preconditioned by the identity are the plain solve's, bit for bit; a
+    # diagonal preconditioner still converges
+    rng = np.random.default_rng(20)
+    M = 32
+    R = random_hermitian(M, rng)
+    phi0 = random_phi(M, rng)
+    objective, grad = (lambda p: -quadform(p, R)), (lambda p: -2.0 * (R @ p))
+    seen = []
+
+    def identity(phi, curvature):
+        seen.append((phi.copy(), curvature.copy()))
+        return lambda r: r.copy()
+
+    plain, plain_trace = rcg_minimize(objective, grad, phi0)
+    phi, trace = rcg_minimize(objective, grad, phi0, None, identity)
+    np.testing.assert_array_equal(phi, plain)
+    np.testing.assert_array_equal(trace.objective_values, plain_trace.objective_values)
+    assert seen
+    for point, curvature in seen:
+        p = point.conj() * grad(point)
+        assert np.linalg.norm(p.imag) < 0.1
+        np.testing.assert_array_equal(curvature, p.real)
+
+    def jacobi(phi, curvature):
+        inv_diag = 1.0 / np.maximum(-curvature, 1e-2 * np.mean(np.abs(curvature)))
+        return lambda r: inv_diag * r
+
+    _, trace = rcg_minimize(objective, grad, phi0, None, jacobi)
+    assert trace.converged_by is ConvergedBy.GRAD_NORM
     assert np.all(np.diff(trace.objective_values) <= 0)
 
 

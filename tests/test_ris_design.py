@@ -14,7 +14,7 @@ from conftest import (
     random_phi,
     total_gain_matrix,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risbal import (
@@ -22,6 +22,7 @@ from risbal import (
     ConvergedBy,
     GramFactor,
     RcgConfig,
+    RicianLinkParams,
     ScenarioConfig,
     balance_matrix,
     design_balanced,
@@ -30,9 +31,11 @@ from risbal import (
     effective_channels,
     gen_channel_set,
     p1_problem,
+    rcg_minimize,
 )
 from risbal.errors import NormalizationError, NumericalError
 from risbal.manifold import unit_modulus_error
+from risbal.ris_design import _leakage_preconditioner
 
 
 def _random_complex(shape, rng):
@@ -268,6 +271,92 @@ def test_design_balanced_strong_weight_stops_before_cap():
     for seed in range(90000, 90020):
         _, trace = _design(_channels(seed=seed), 1000.0)
         assert trace.converged_by is not ConvergedBy.MAX_ITERS, seed
+
+
+def test_design_balanced_newton_phase_cuts_gradient_calls(monkeypatch):
+    # the preconditioned Newton phase needs at most 0.8x the gradient calls of
+    # the plain solve from the same warm start, and ends no worse than it
+    # beyond 1e-9 relative; at 100 dB the gradient never gets small enough
+    # to enter the phase, so the design is the plain solve's, bit for bit
+    import risbal.ris_design
+
+    calls = [0]
+    original = risbal.ris_design.p1_problem
+
+    def counted(gram, d):
+        objective, euclid_grad = original(gram, d)
+
+        def grad(phi):
+            calls[0] += 1
+            return euclid_grad(phi)
+
+        return objective, grad
+
+    monkeypatch.setattr(risbal.ris_design, "p1_problem", counted)
+
+    def solve(fn, *args):
+        calls[0] = 0
+        phi, trace = fn(*args)
+        return phi, trace, calls[0]
+
+    for seed in range(4):
+        gram = effective_channels(_channels(seed=seed))
+        for lam_db in (20, 30, 100):
+            d = gram.weights(10.0 ** (lam_db / 10))
+            phi, trace, n = solve(design_balanced, gram, d)
+            ref_phi, ref, n_ref = solve(rcg_minimize, *counted(gram, d), design_eigen(gram, d))
+            if lam_db == 100:
+                np.testing.assert_array_equal(phi, ref_phi)
+                continue
+            assert n <= 0.8 * n_ref, (seed, lam_db, n, n_ref)
+            f, f_ref = trace.objective_values[-1], ref.objective_values[-1]
+            assert f - f_ref <= 1e-9 * abs(f_ref), (seed, lam_db)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ris_array=st.sampled_from([ArrayGeometry(1, 1), ArrayGeometry(1, 3), ArrayGeometry(2, 4),
+                                  ArrayGeometry(4, 4)]),
+       users=st.integers(1, 3), paths=st.integers(0, 3),
+       lam=st.sampled_from([0.0, 1.0, 10.0, 100.0, 1000.0]), seed=st.integers(0, 2**32 - 1))
+def test_leakage_preconditioner_matches_dense_solve(ris_array, users, paths, lam, seed):
+    # P = diag(max(-c, 1e-2 mean|c|)) + 2 lam/n_2 Re(W W^H), W = diag(conj phi) B_2 Z,
+    # at the curvature c = Re(conj phi o euclid_grad(phi)) of random phases:
+    # P is symmetric positive definite, and its Woodbury inverse is the dense
+    # solve's, also where B_2 has fewer than 8 columns (one user, no
+    # scattered path) or the surface fewer than 8 elements
+    from conftest import small_cfg
+
+    rng = np.random.default_rng(seed)
+    cfg = small_cfg(ris_array=ris_array, users_per_cell=users,
+                    bs_ris_link=RicianLinkParams(2.5, 5.0, paths))
+    gram = effective_channels(gen_channel_set(cfg, rng))
+    d = gram.weights(lam)
+    M = ris_array.size
+    phi = random_phi(M, rng)
+    curvature = (phi.conj() * p1_problem(gram, d)[1](phi)).real
+    # a curvature at rounding level is an R that cancels to 0 (M = 1 at
+    # lam = 1): the objective is constant, and the solve stops at once
+    assume(np.abs(curvature).max() > 1e-9 * (1.0 + lam))
+    pinv = _leakage_preconditioner(gram, d)(phi, curvature)
+    P = np.diag(np.maximum(-curvature, 1e-2 * np.mean(np.abs(curvature))))
+    if lam > 0.0:
+        # the basis is B_2 Z for B_2's top right singular vectors Z, of the
+        # clamped rank k: its Gram matrix is diag(sigma_1..k^2)
+        B2 = gram.B[:, gram.c1:]
+        basis = gram.leakage_basis
+        k = min(8, *gram.T[:, gram.c1:].shape)
+        sigma = np.linalg.svd(B2, compute_uv=False)
+        assert basis.shape == (M, k)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.diag(sigma[:k] ** 2),
+                                   rtol=0.0, atol=1e-12 * sigma[0] ** 2)
+        W = phi.conj()[:, None] * basis
+        P += 2.0 * lam / np.linalg.norm(B2 @ B2.conj().T) * (W @ W.conj().T).real
+    assert np.linalg.eigvalsh(P).min() > 0.0
+    P_inv = np.column_stack([pinv(e) for e in np.eye(M)])
+    assert np.linalg.norm(P_inv - P_inv.T) <= 1e-10 * np.linalg.norm(P_inv)
+    for r in (rng.standard_normal(M), curvature):
+        x = np.linalg.solve(P, r)
+        assert np.linalg.norm(pinv(r) - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_design_balanced_leaves_out_zero_weight_columns(monkeypatch):
