@@ -29,7 +29,6 @@ from .config import (
 )
 from .manifold import (
     ConvergedBy,
-    RcgConfig,
     RcgTrace,
     rcg_minimize,
 )

@@ -6,10 +6,11 @@ entry. The metric is the real part of the Euclidean Hermitian inner product.
 Inside the solver a tangent vector is t = i phi * x with x real of length M;
 as |phi_m| = 1 this map is an isometry, Re<t1, t2> = x1 . x2, so the inner
 solve runs on real vectors and a step maps back to the manifold once. Near a
-minimizer the solve enters a Newton phase, where a caller's preconditioner,
-if given, preconditions the inner solve. The solver stops on a small
-Riemannian gradient norm, at its iteration cap, or when its trust radius has
-shrunk below what double precision resolves.
+minimizer the solve enters a Newton phase, where it preconditions the inner
+solve with the Hessian's diagonal term, floored, plus the caller's
+positive-semidefinite Hessian term if one is given. The solver stops on a
+small Riemannian gradient norm, at its iteration cap, or when its trust
+radius has shrunk below what double precision resolves.
 
 All functions are pure and never mutate their inputs; the solver is
 single-threaded per call and safe to run concurrently from many threads.
@@ -36,6 +37,16 @@ _RHO_SHRINK = 0.25
 _RHO_GROW = 0.75
 _TCG_KAPPA = 0.1
 
+# Stop rules: at most _MAX_ITERS outer iterations, and a Riemannian gradient
+# norm below _GRAD_TOL * M, scale-aware in the surface size M.
+_MAX_ITERS = 500
+_GRAD_TOL = 1e-6
+
+# The Newton phase's preconditioner floors the Hessian's diagonal term at
+# _CURVATURE_FLOOR times the mean curvature magnitude, so P stays positive
+# definite.
+_CURVATURE_FLOOR = 1e-2
+
 
 def unit_modulus_error(phi: np.ndarray) -> float:
     """Largest deviation of |phi_m| from 1."""
@@ -44,26 +55,6 @@ def unit_modulus_error(phi: np.ndarray) -> float:
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
-
-
-@dataclass(frozen=True)
-class RcgConfig:
-    """Solver settings, checked when built: max_iters a positive integer,
-    grad_tol None or a finite nonnegative real (a bool is neither), or
-    ValueError. grad_tol left at None resolves to 1e-6 * M at solve time
-    (scale-aware default).
-    """
-
-    max_iters: int = 500
-    grad_tol: float | None = None
-
-    def __post_init__(self) -> None:
-        iters, tol = self.max_iters, self.grad_tol
-        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
-            raise ValueError(f"max_iters must be a positive integer, got {iters!r}")
-        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                                or not 0.0 <= tol < math.inf):
-            raise ValueError(f"grad_tol must be None or finite and nonnegative, got {tol!r}")
 
 
 class ConvergedBy(Enum):
@@ -142,58 +133,89 @@ def _truncated_cg(hess: Callable[[np.ndarray], np.ndarray], g: np.ndarray, radiu
     return eta, r - g, False
 
 
+def _newton_preconditioner(phi: np.ndarray, curvature: np.ndarray,
+                           psd_term: tuple[np.ndarray, float] | None,
+                           ) -> Callable[[np.ndarray], np.ndarray]:
+    """P^-1 of the Newton phase at phi, for curvature = Re(conj(phi) o
+    euclid_grad(phi)) there:
+        P = diag(max(-curvature, 1e-2 mean|curvature|)) + s Re(W W^H),
+    W = diag(conj phi) V for psd_term = (V, s), and the diagonal alone for
+    psd_term None. The Hessian in real tangent coordinates is
+    Im(conj(phi) o euclid_grad(i phi o x)) - curvature o x, to whose first
+    term a Euclidean Hessian term s V V^H contributes s Re(W W^H); P keeps
+    the diagonal term, floored, and that positive-semidefinite part. As
+    Re(W W^H) = U U^T for the real U = [Re W, Im W] of 2 k columns, P^-1
+    applies by Woodbury through one 2 k x 2 k real system built here.
+    """
+    inv_diag = 1.0 / np.maximum(-curvature, _CURVATURE_FLOOR * np.mean(np.abs(curvature)))
+    if psd_term is None:
+        return lambda r: inv_diag * r
+    V, s = psd_term
+    W = phi.conj()[:, None] * V
+    U = np.hstack([W.real, W.imag])
+    DU = inv_diag[:, None] * U
+    # P^-1 = D^-1 - D^-1 U (I + s U^T D^-1 U)^-1 s U^T D^-1
+    K = s * DU @ np.linalg.inv(np.eye(U.shape[1]) + s * (U.T @ DU))
+    DUt = np.ascontiguousarray(DU.T)
+    return lambda r: inv_diag * r - K @ (DUt @ r)
+
+
 def rcg_minimize(
     objective: Callable[[np.ndarray], float],
     euclid_grad: Callable[[np.ndarray], np.ndarray],
     phi0: Sequence[complex] | np.ndarray,
-    cfg: RcgConfig | None = None,
-    preconditioner: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
-    | None = None,
+    psd_term: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, RcgTrace]:
-    """Minimize an objective with an affine gradient over the circle manifold.
+    """Minimize an objective with a linear gradient over the circle manifold.
 
     Riemannian trust-region method (Absil, Baker & Gallivan 2007) with a
     truncated-CG inner solve in real tangent coordinates (see the module
     docstring) and entry-wise normalization as the retraction. The trust
     radius starts at pi * sqrt(M) / 8 and is capped at pi * sqrt(M). With
     p = conj(phi) * euclid_grad(phi), the gradient's coordinates are Im(p), and
-        Hess f(phi)[x] = Im(conj(phi) * ehess[x]) - Re(p) * x,
-    where ehess[x] = euclid_grad(i phi * x) - euclid_grad(0), one call per
-    product plus one at 0 per solve, is exact as euclid_grad must be affine
-    (as -2 R phi - 2 c is).
+        Hess f(phi)[x] = Im(conj(phi) * euclid_grad(i phi * x)) - Re(p) * x,
+    one gradient call per product, is exact as euclid_grad must be linear
+    (as -2 R phi is).
 
     The inner solve is plain truncated CG in the ball ||eta|| <= radius until
     the Newton phase. That phase starts when a step is accepted that ended
     inside the trust region and the new gradient norm is below _TCG_KAPPA
     (0.1), where the inner solve's stop rule is already superlinear, and
     ends at the next step that reaches the trust boundary or is rejected.
-    If preconditioner is given, it is called once on entering the phase as
-    preconditioner(phi, curvature), with curvature = Re(p) at that point, and
-    returns pinv, a function that maps a real vector of tangent coordinates
-    x to P^-1 x for a symmetric positive-definite P; the phase's inner solves
-    are preconditioned CG with the trust region in the norm
-    sqrt(<eta, P eta>). Without a preconditioner, or outside the phase, the
-    solve does not depend on it. NumericalError is raised for a non-finite
-    objective at phi0 or a candidate, a non-finite gradient at phi0 or an
-    accepted point, and a non-finite predicted decrease; a Hessian product
-    that is not finite ends the inner solve through its curvature test. The
-    stop reasons, reported in RcgTrace.converged_by:
+    On entering it the solver builds P = diag(max(-Re p, 1e-2 mean|Re p|)),
+    plus s Re(W W^H) with W = diag(conj phi) V when psd_term = (V, s) gives
+    a positive-semidefinite part s V V^H (V with M rows, s > 0) of the
+    Euclidean Hessian; the phase's inner solves are preconditioned CG with
+    the trust region in the norm sqrt(<eta, P eta>). DimensionError is raised
+    for a phi0 that is not a nonempty vector or a V without M rows, and
+    ValueError for a phi0 entry off the unit circle or an s that is not
+    finite and positive. NumericalError is raised for a non-finite objective
+    at phi0 or a candidate, a non-finite gradient at phi0 or an accepted
+    point, and a non-finite predicted decrease; a Hessian product that is
+    not finite ends the inner solve through its curvature test. The stop
+    reasons, reported in RcgTrace.converged_by:
 
-      GRAD_NORM    the Riemannian gradient norm fell below grad_tol
-      MAX_ITERS    max_iters outer iterations were taken
+      GRAD_NORM    the Riemannian gradient norm fell below 1e-6 * M
+      MAX_ITERS    500 outer iterations were taken
       TRUST_REGION the trust radius fell below eps * pi * sqrt(M) after
                    rejected steps, so no double-precision step lowers the
                    objective
     """
-    if cfg is None:
-        cfg = RcgConfig()
     phi = np.asarray(phi0, dtype=np.complex128).copy()
     if phi.ndim != 1 or phi.size == 0:
         raise DimensionError("phi0 must be a nonempty 1-D complex vector")
     if not unit_modulus_error(phi) <= 1e-9:  # also rejects NaN entries
         raise ValueError("phi0 must have unit-modulus entries")
     M = phi.size
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * M
+    if psd_term is not None:
+        V, s = psd_term
+        V = np.asarray(V)
+        if V.ndim != 2 or V.shape[0] != M:
+            raise DimensionError(f"psd_term's V must have {M} rows, got shape {V.shape}")
+        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not 0.0 < s < math.inf:
+            raise ValueError(f"psd_term's s must be finite and positive, got {s!r}")
+        psd_term = V, s
+    grad_tol = _GRAD_TOL * M
     max_radius = np.pi * np.sqrt(M)
     radius = max_radius / 8.0
 
@@ -216,10 +238,9 @@ def rcg_minimize(
         return phi_c, 1j * point, p.imag.copy(), p.real.copy()
 
     def hess(x: np.ndarray) -> np.ndarray:
-        return ((euclid_grad(iphi * x) - eg0) * phi_c).imag - curvature * x
+        return (euclid_grad(iphi * x) * phi_c).imag - curvature * x
 
     f = value(phi)
-    eg0 = euclid_grad(np.zeros(M, dtype=np.complex128))
     eg = egrad(phi)
     phi_c, iphi, g, curvature = frame(phi, eg)
     g_norm = math.sqrt(_inner(g, g))
@@ -227,7 +248,7 @@ def rcg_minimize(
     values = [f]
     converged = ConvergedBy.MAX_ITERS
 
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         if g_norm < grad_tol:
             converged = ConvergedBy.GRAD_NORM
             break
@@ -257,9 +278,9 @@ def rcg_minimize(
             phi, f, eg = cand, f_cand, egrad(cand)
             phi_c, iphi, g, curvature = frame(phi, eg)
             g_norm = math.sqrt(_inner(g, g))
-            if (preconditioner is not None and pinv is None and not at_boundary
-                    and g_norm < _TCG_KAPPA):
-                pinv = preconditioner(phi, curvature)  # the Newton phase starts
+            if pinv is None and not at_boundary and g_norm < _TCG_KAPPA:
+                # the Newton phase starts
+                pinv = _newton_preconditioner(phi, curvature, psd_term)
         values.append(f)
 
     return phi, RcgTrace(objective_values=np.asarray(values), iterations=len(values) - 1,

@@ -15,11 +15,10 @@ gradient costs O(M c). The warm start solves the r x r core T diag(d) T^H
 for the triangular factor T of B = Q T and lifts it through B, without Q.
 A dense Hermitian R = V diag(w) V^H takes the same form: B = V, T = I, d = w.
 
-In the solver's Newton phase design_balanced preconditions the inner solve
-with the Hessian's diagonal term, floored, plus the dominant part of the
-leakage term 2 lam/n_2 Re(V_2 V_2^H), V_2 = diag(conj phi) B_2: its top 8
-directions, from one SVD of T's B_2 block per factor, applied by Woodbury
-through a real system of at most 16 x 16.
+design_balanced hands the solver the dominant part of the Hessian's
+positive-semidefinite leakage term 2 lam/n_2 B_2 B_2^H: its top 8
+directions, from one SVD of T's B_2 block per factor, which the solver's
+Newton phase adds to its preconditioner.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from . import manifold
 from .channel import ChannelSet
 from .errors import NormalizationError, NumericalError
-from .manifold import RcgConfig, RcgTrace
+from .manifold import RcgTrace
 
 __all__ = [
     "GramFactor",
@@ -46,11 +45,9 @@ __all__ = [
 ]
 
 
-# The leakage term of the preconditioner keeps the top _LEAKAGE_RANK
-# directions of B_2; its diagonal is floored at _CURVATURE_FLOOR times the
-# mean curvature magnitude, so P stays positive definite.
+# The leakage term handed to the solver keeps the top _LEAKAGE_RANK
+# directions of B_2.
 _LEAKAGE_RANK = 8
-_CURVATURE_FLOOR = 1e-2
 
 
 def _check_balance(n1: float, n2: float, lam: float) -> None:
@@ -148,35 +145,6 @@ def p1_problem(gram: GramFactor, d: np.ndarray) -> tuple[Callable, Callable]:
     return objective, euclid_grad
 
 
-def _leakage_preconditioner(gram: GramFactor, d: np.ndarray) -> Callable:
-    """rcg_minimize's preconditioner(phi, curvature) -> P^-1 for R = B diag(d) B^H:
-        P = diag(max(-curvature, 1e-2 mean|curvature|)) + s Re(W W^H),
-    W = diag(conj phi) gram.leakage_basis and s = -2 d on B_2's columns
-    (2 lam / n_2 for d = gram.weights(lam)). The Hessian in the solver's real
-    coordinates is Re(V diag(-2 d) V^H) - diag(curvature) for V =
-    diag(conj phi) B; P keeps its diagonal term, floored, and the dominant
-    part of the positive-semidefinite leakage term. Without a column of
-    negative weight on B_2 (lam = 0) P is the diagonal alone. As
-    Re(W W^H) = U U^T for the real U = [Re W, Im W] of 2 k columns, P^-1
-    applies by Woodbury through one 2 k x 2 k real system per call.
-    """
-    s = -2.0 * d[gram.c1] if len(d) > gram.c1 else 0.0
-
-    def preconditioner(phi: np.ndarray, curvature: np.ndarray) -> Callable:
-        inv_diag = 1.0 / np.maximum(-curvature, _CURVATURE_FLOOR * np.mean(np.abs(curvature)))
-        if not s > 0.0:
-            return lambda r: inv_diag * r
-        W = phi.conj()[:, None] * gram.leakage_basis
-        U = np.hstack([W.real, W.imag])
-        DU = inv_diag[:, None] * U
-        # P^-1 = D^-1 - D^-1 U (I + s U^T D^-1 U)^-1 s U^T D^-1
-        K = s * DU @ np.linalg.inv(np.eye(U.shape[1]) + s * (U.T @ DU))
-        DUt = np.ascontiguousarray(DU.T)
-        return lambda r: inv_diag * r - K @ (DUt @ r)
-
-    return preconditioner
-
-
 def design_eigen(gram: GramFactor, d: np.ndarray) -> np.ndarray:
     """Relaxation baseline: normalize each entry of R's top eigenvector.
 
@@ -218,7 +186,7 @@ def design_random(M: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=M))
 
 
-def design_balanced(gram: GramFactor, d: np.ndarray, cfg: RcgConfig | None = None,
+def design_balanced(gram: GramFactor, d: np.ndarray,
                     phi0: np.ndarray | None = None) -> tuple[np.ndarray, RcgTrace]:
     """Maximize phi^H R phi over unit-modulus phi with the trust-region
     solver, for R = B diag(d) B^H (a drop's gram and d = gram.weights(lam)).
@@ -226,10 +194,11 @@ def design_balanced(gram: GramFactor, d: np.ndarray, cfg: RcgConfig | None = Non
     Columns of weight 0 add nothing to R, so B's trailing ones (B_2's at
     lam = 0) are left out; B's leading columns have T's leading block as
     their factor. phi0 defaults to design_eigen of that problem, which the
-    solver can only improve. The solver's Newton phase is preconditioned with
-    _leakage_preconditioner(gram, d), the diagonal alone at lam = 0.
-    NumericalError is raised if the warm start's eigensolve or the leakage
-    SVD fails.
+    solver can only improve. When B_2's weight is negative, the solver gets
+    psd_term = (gram.leakage_basis, -2 d[c1]), the dominant part of the
+    Hessian's leakage term -2 d[c1] B_2 B_2^H, for its Newton phase;
+    otherwise (lam = 0) none. NumericalError is raised if the warm start's
+    eigensolve or the leakage SVD fails.
     """
     c = max(1, int(np.flatnonzero(d).max(initial=-1)) + 1)
     if c < len(d):
@@ -237,5 +206,6 @@ def design_balanced(gram: GramFactor, d: np.ndarray, cfg: RcgConfig | None = Non
         gram, d = GramFactor(gram.B[:, :c], gram.Bh[:c], gram.T[:r, :c], min(gram.c1, c)), d[:c]
     if phi0 is None:
         phi0 = design_eigen(gram, d)
-    return manifold.rcg_minimize(*p1_problem(gram, d), phi0, cfg,
-                                 _leakage_preconditioner(gram, d))
+    c1 = gram.c1
+    psd_term = (gram.leakage_basis, -2.0 * d[c1]) if len(d) > c1 and d[c1] < 0.0 else None
+    return manifold.rcg_minimize(*p1_problem(gram, d), phi0, psd_term)

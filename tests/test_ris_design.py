@@ -21,7 +21,6 @@ from risbal import (
     ArrayGeometry,
     ConvergedBy,
     GramFactor,
-    RcgConfig,
     RicianLinkParams,
     ScenarioConfig,
     balance_matrix,
@@ -31,11 +30,10 @@ from risbal import (
     effective_channels,
     gen_channel_set,
     p1_problem,
-    rcg_minimize,
 )
 from risbal.errors import NormalizationError, NumericalError
 from risbal.manifold import unit_modulus_error
-from risbal.ris_design import _leakage_preconditioner
+from risbal.manifold import _newton_preconditioner
 
 
 def _random_complex(shape, rng):
@@ -235,10 +233,10 @@ def _balance(cs, lam):
     return balance_matrix(*dense_totals(cs), lam)
 
 
-def _design(cs, lam, cfg=None):
+def _design(cs, lam):
     """The program's design of a drop at weight lam, on its Gram factor."""
     gram = effective_channels(cs)
-    return design_balanced(gram, gram.weights(lam), cfg)
+    return design_balanced(gram, gram.weights(lam))
 
 
 def test_design_balanced_zero_weight_reproducible():
@@ -260,7 +258,7 @@ def test_design_balanced_improves_on_warm_start():
 def test_design_balanced_slow_drop_stops_on_gradient_norm():
     # at 20 dB this reference drop creeps along for many steps before its
     # gradient is small; the solve must run until it is, not stop early
-    _, trace = _design(_channels(seed=2084), 100.0, RcgConfig(max_iters=2000))
+    _, trace = _design(_channels(seed=2084), 100.0)
     assert trace.converged_by is ConvergedBy.GRAD_NORM
     assert trace.final_grad_norm < 1e-6 * 128
 
@@ -275,9 +273,11 @@ def test_design_balanced_strong_weight_stops_before_cap():
 
 def test_design_balanced_newton_phase_cuts_gradient_calls(monkeypatch):
     # the preconditioned Newton phase needs at most 0.8x the gradient calls of
-    # the plain solve from the same warm start, and ends no worse than it
-    # beyond 1e-9 relative; at 100 dB the gradient never gets small enough
-    # to enter the phase, so the design is the plain solve's, bit for bit
+    # an unpreconditioned one from the same warm start, and ends no worse
+    # than it beyond 1e-9 relative; at 100 dB the gradient never gets small
+    # enough to enter the phase, so the design is the plain solve's, bit for
+    # bit
+    import risbal.manifold
     import risbal.ris_design
 
     calls = [0]
@@ -294,17 +294,20 @@ def test_design_balanced_newton_phase_cuts_gradient_calls(monkeypatch):
 
     monkeypatch.setattr(risbal.ris_design, "p1_problem", counted)
 
-    def solve(fn, *args):
+    def solve(gram, d, preconditioned):
         calls[0] = 0
-        phi, trace = fn(*args)
+        with monkeypatch.context() as patch:
+            if not preconditioned:
+                patch.setattr(risbal.manifold, "_newton_preconditioner", lambda *args: None)
+            phi, trace = design_balanced(gram, d)
         return phi, trace, calls[0]
 
     for seed in range(4):
         gram = effective_channels(_channels(seed=seed))
         for lam_db in (20, 30, 100):
             d = gram.weights(10.0 ** (lam_db / 10))
-            phi, trace, n = solve(design_balanced, gram, d)
-            ref_phi, ref, n_ref = solve(rcg_minimize, *counted(gram, d), design_eigen(gram, d))
+            phi, trace, n = solve(gram, d, True)
+            ref_phi, ref, n_ref = solve(gram, d, False)
             if lam_db == 100:
                 np.testing.assert_array_equal(phi, ref_phi)
                 continue
@@ -335,9 +338,12 @@ def test_leakage_preconditioner_matches_dense_solve(ris_array, users, paths, lam
     phi = random_phi(M, rng)
     curvature = (phi.conj() * p1_problem(gram, d)[1](phi)).real
     # a curvature at rounding level is an R that cancels to 0 (M = 1 at
-    # lam = 1): the objective is constant, and the solve stops at once
+    # lam = 1), where the Woodbury capacitance inverse loses all accuracy;
+    # the solver never builds P there, as the objective is constant and the
+    # solve stops on its gradient at once
     assume(np.abs(curvature).max() > 1e-9 * (1.0 + lam))
-    pinv = _leakage_preconditioner(gram, d)(phi, curvature)
+    psd_term = (gram.leakage_basis, -2.0 * d[gram.c1]) if lam > 0.0 else None
+    pinv = _newton_preconditioner(phi, curvature, psd_term)
     P = np.diag(np.maximum(-curvature, 1e-2 * np.mean(np.abs(curvature))))
     if lam > 0.0:
         # the basis is B_2 Z for B_2's top right singular vectors Z, of the
