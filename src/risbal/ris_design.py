@@ -11,8 +11,9 @@ uniform random phases serve as baselines.
 R is never formed: it is posed as B diag(d) B^H with real weights d, where
 each Gram total is B_i B_i^H and B = [B_1 B_2] has at most 2 K (L + 1)
 columns whatever the surface size M, so a weight changes only d and a
-gradient costs O(M c). The warm start solves the r x r core T diag(d) T^H
-for the triangular factor T of B = Q T and lifts it through B, without Q.
+gradient costs O(M c). The warm start takes the top eigenpair alone of the
+r x r core T diag(d) T^H, for the triangular factor T of B = Q T, lifts it
+through B, without Q, and pins its global phase, which cell 2's rate sees.
 A dense Hermitian R = V diag(w) V^H takes the same form: B = V, T = I, d = w.
 
 design_balanced hands the solver the dominant part of the Hessian's
@@ -23,13 +24,15 @@ Newton phase adds to its preconditioner.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import manifold
+from ._openblas import openblas_exports
 from .channel import ChannelSet
 from .errors import NormalizationError, NumericalError
 from .manifold import RcgTrace
@@ -48,6 +51,8 @@ __all__ = [
 # The leakage term handed to the solver keeps the top _LEAKAGE_RANK
 # directions of B_2.
 _LEAKAGE_RANK = 8
+
+_LAPACK_ROW_MAJOR = 101
 
 
 def _check_balance(n1: float, n2: float, lam: float) -> None:
@@ -86,16 +91,23 @@ class GramFactor:
             raise NumericalError(f"leakage-subspace SVD failed: {exc}") from exc
         return self.B[:, c1:] @ Vh[:_LEAKAGE_RANK].conj().T
 
+    @cached_property
+    def _norms(self) -> tuple[float, float]:
+        """n_i = ||At_i||_F of the two Gram totals At_i = B_i B_i^H, taken as
+        ||T_i^H T_i||_F on first use and kept, as they do not depend on the
+        weight; inf or nan, without a warning, where they overflow."""
+        c1 = self.c1
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(np.linalg.norm(Ti.conj().T @ Ti)
+                         for Ti in (self.T[:, :c1], self.T[:, c1:]))
+
     def weights(self, lam: float) -> np.ndarray:
         """d of R = At_1/n_1 - lam At_2/n_2 = B diag(d) B^H for At_i = B_i B_i^H:
         1/n_1 on B_1's columns, -lam/n_2 on B_2's, n_i = ||At_i||_F taken as
         ||T_i^H T_i||_F; balance_matrix's checks and errors, without a warning."""
-        c1 = self.c1
-        with np.errstate(over="ignore", invalid="ignore"):
-            n1, n2 = (np.linalg.norm(Ti.conj().T @ Ti)
-                      for Ti in (self.T[:, :c1], self.T[:, c1:]))
+        n1, n2 = self._norms
         _check_balance(n1, n2, lam)
-        return np.repeat([1.0 / n1, -lam / n2], [c1, self.T.shape[1] - c1])
+        return np.repeat([1.0 / n1, -lam / n2], [self.c1, self.T.shape[1] - self.c1])
 
 
 def effective_channels(channels: ChannelSet) -> GramFactor:
@@ -145,26 +157,73 @@ def p1_problem(gram: GramFactor, d: np.ndarray) -> tuple[Callable, Callable]:
     return objective, euclid_grad
 
 
+@cache
+def _zheevr():
+    """LAPACKE's zheevr in numpy's OpenBLAS (numpy >= 2 wheels, 64-bit
+    integers), looked up on first use; None where no loaded OpenBLAS exports it."""
+    i64, f64, ptr, char = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+    found = openblas_exports(
+        "scipy_LAPACKE_zheevr64_",
+        # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+        [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64,
+         ptr, ptr, ptr, i64, ptr],
+        i64,
+    )
+    return found[0] if found else None
+
+
+def _top_eigenpair(K: np.ndarray) -> tuple[float, np.ndarray]:
+    """The algebraically largest eigenvalue of the Hermitian K, read from its
+    lower triangle, and a unit eigenvector for it: that pair alone, by
+    LAPACK's zheevr (bisection and inverse iteration on K's tridiagonal form)
+    where numpy's OpenBLAS exports it, otherwise the last of np.linalg.eigh's.
+    K's entries must be finite. NumericalError is raised if the eigensolve
+    fails."""
+    zheevr = _zheevr()
+    if zheevr is None:
+        try:
+            vals, vecs = np.linalg.eigh(K)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        return vals[-1], vecs[:, -1]
+    n = len(K)
+    a = np.array(K, dtype=complex, order="C")  # zheevr overwrites its input
+    # w takes every copy of a repeated top eigenvalue, so it has n entries
+    w, z = np.empty(n), np.empty(n, dtype=complex)
+    m, isuppz = np.empty(1, dtype=np.int64), np.empty(2, dtype=np.int64)
+    info = zheevr(_LAPACK_ROW_MAJOR, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, n, n,
+                  0.0, m.ctypes.data, w.ctypes.data, z.ctypes.data, 1, isuppz.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"eigendecomposition failed: zheevr returned info {info}")
+    return w[0], z
+
+
 def design_eigen(gram: GramFactor, d: np.ndarray) -> np.ndarray:
     """Relaxation baseline: normalize each entry of R's top eigenvector.
 
-    The r x r core T diag(d) T^H has R's nonzero eigenvalues; its top
-    eigenpair (mu, w) lifts to R's as B (d o (T^H w)) / mu = Q w when mu is
-    positive, or negative with r = M, beyond rounding (r eps max|eigenvalue|).
-    Otherwise Q is formed: with r = M the vector is Q w; with r < M, R's top
-    eigenspace (eigenvalue 0) contains null(Q^H), and the vector is its
-    projector's column of largest norm, of squared norm at least 1 - r/M. A
-    zero entry has no phase and takes phase 0. NumericalError is raised if
-    the eigensolve fails.
+    The r x r core K = T diag(d) T^H has R's nonzero eigenvalues; its top
+    eigenpair (mu, w), the only one computed, lifts to R's as
+    B (d o (T^H w)) / mu = Q w when mu is positive, or negative with r = M,
+    beyond rounding (r eps r max|K_ij|, where r max|K_ij| bounds K's
+    eigenvalues without squaring its entries). Otherwise Q is formed: with
+    r = M the vector is Q w; with r < M, R's top eigenspace (eigenvalue 0)
+    contains null(Q^H), and the vector is its projector's column of largest
+    norm, of squared norm at least 1 - r/M. The vector v is then turned to
+    the global phase that makes sum(v) real and positive (left as it is
+    where the sum is 0), so the warm start does not depend on the phase the
+    eigensolver returns: the objective is blind to it, cell 2's rate is not.
+    A zero entry has no phase and takes phase 0. NumericalError is raised if
+    K has a non-finite entry or the eigensolve fails.
     """
     B, T = gram.B, gram.T
     r, M = T.shape[0], B.shape[0]
-    try:
-        vals, vecs = np.linalg.eigh((T * d) @ T.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    mu, w = vals[-1], vecs[:, -1]  # algebraically largest eigenvalue
-    tol = r * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
+    K = (T * d) @ T.conj().T
+    largest = np.abs(K).max()  # nan or inf if any entry is
+    # numpy's floating-point policy does not reach LAPACK's own code
+    if not np.isfinite(largest):
+        raise NumericalError("Gram core has non-finite entries")
+    tol = r * np.finfo(float).eps * r * largest
+    mu, w = _top_eigenpair(K)
     if mu > tol or (mu < -tol and r == M):
         v = B @ (d * (T.conj().T @ w)) / mu
     else:
@@ -175,6 +234,9 @@ def design_eigen(gram: GramFactor, d: np.ndarray) -> np.ndarray:
             m = int(np.argmin(np.linalg.norm(Q, axis=1)))
             v = -(Q @ Q[m].conj())
             v[m] += 1.0
+    total = v.sum()
+    if total != 0.0:
+        v = v * (abs(total) / total)
     v = np.where(np.abs(v) == 0.0, 1.0 + 0j, v)  # complex also for a real factor
     return v / np.abs(v)
 

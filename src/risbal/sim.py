@@ -37,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._openblas import openblas_exports
 from .beamform import composite_cell1, composite_cell2, slnr_beamformer
 from .channel import gen_channel_set
 from .config import ScenarioConfig, load_config
@@ -91,19 +92,9 @@ class SweepResult:
 
 @functools.cache
 def _openblas_setters() -> tuple:
-    """openblas_set_num_threads_local of each OpenBLAS in /proc/self/maps, looked
-    up on first use; empty if none exports it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {ln.split(maxsplit=5)[-1].strip() for ln in fh if "openblas" in ln.lower()}
-    except OSError:  # not Linux
-        return ()
-    setters = []
-    for path in sorted(paths):
-        with contextlib.suppress(OSError, AttributeError):
-            setters.append(ctypes.CDLL(path).openblas_set_num_threads_local)
-            setters[-1].argtypes, setters[-1].restype = [ctypes.c_int], ctypes.c_int
-    return tuple(setters)
+    """openblas_set_num_threads_local of each loaded OpenBLAS, looked up on first
+    use; empty if none exports it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
+    return openblas_exports("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int)
 
 
 _blas_lock = threading.Lock()

@@ -17,6 +17,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import risbal.ris_design
 from risbal import (
     ArrayGeometry,
     ConvergedBy,
@@ -132,6 +133,18 @@ def test_balance_matrix_rejects_bad_weight(lam):
         balance_matrix(np.eye(2), np.eye(2), lam)
     with pytest.raises(ValueError):
         effective_channels(_channels(seed=1)).weights(lam)
+
+
+def test_weights_equal_the_uncached_formula():
+    # the two gain-total norms are kept with the factor; the weights are the
+    # ones computed from scratch on every call, bit for bit
+    for seed in (1, 2):
+        gram = effective_channels(_channels(seed=seed))
+        T, c1 = gram.T, gram.c1
+        n1, n2 = (np.linalg.norm(Ti.conj().T @ Ti) for Ti in (T[:, :c1], T[:, c1:]))
+        for lam in (0.0, 1.0, 1000.0, 1.0):
+            expected = np.repeat([1.0 / n1, -lam / n2], [c1, T.shape[1] - c1])
+            assert np.array_equal(gram.weights(lam), expected)
 
 
 def test_balance_matrix_zero_norm_raises():
@@ -390,14 +403,80 @@ def test_design_balanced_leaves_out_zero_weight_columns(monkeypatch):
 
 
 def test_design_balanced_eigensolve_failure_raises(monkeypatch):
-    # a failed warm start is a numerical failure, not a silent random start
+    # a failed warm start is a numerical failure, not a silent random start,
+    # on either path: zheevr's nonzero info, and eigh's LinAlgError
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     gram = effective_channels(_channels(seed=1))
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(NumericalError):
+    monkeypatch.setattr(risbal.ris_design, "_zheevr", lambda: lambda *args: 3)
+    with pytest.raises(NumericalError, match="info 3"):
         design_balanced(gram, gram.weights(1.0))
+    monkeypatch.setattr(risbal.ris_design, "_zheevr", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="did not converge"):
+        design_balanced(gram, gram.weights(1.0))
+
+
+def test_design_eigen_rejects_non_finite_core():
+    # LAPACK's code runs outside numpy's floating-point policy, so a NaN or
+    # inf in the core is caught before the eigensolve
+    gram = effective_channels(_channels(seed=1))
+    d = gram.weights(1.0)
+    for bad in (np.nan, np.inf):
+        d_bad = d.copy()
+        d_bad[-1] = bad
+        # for a caller who silenced numpy's warnings
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            design_eigen(gram, d_bad)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 3.0, -2.5])
+def test_design_eigen_ignores_eigenvector_phase(monkeypatch, theta):
+    # the eigenvector's global phase is arbitrary; the warm start pins its
+    # own, so it is the same whichever phase the eigensolver returns, in the
+    # lift and in the r = M branch that forms Q
+    original = risbal.ris_design._top_eigenpair
+
+    def turned(K):
+        mu, w = original(K)
+        return mu, w * np.exp(1j * theta)
+
+    gram = effective_channels(_channels(seed=2))
+    U = np.linalg.qr(_random_complex((3, 3), np.random.default_rng(5)))[0]
+    top_zero = dense_factor((U * [0.0, -1.0, -2.0]) @ U.conj().T)
+    problems = [(gram, gram.weights(lam)) for lam in (0.0, 1.0, 1000.0)] + [top_zero]
+    before = [design_eigen(*problem) for problem in problems]
+    monkeypatch.setattr(risbal.ris_design, "_top_eigenpair", turned)
+    for problem, phi in zip(problems, before):
+        np.testing.assert_allclose(design_eigen(*problem), phi, rtol=0, atol=1e-12)
+
+
+needs_zheevr = pytest.mark.skipif(
+    not risbal.ris_design._zheevr(),
+    reason="no loaded OpenBLAS exports scipy_LAPACKE_zheevr64_",
+)
+
+
+@needs_zheevr
+@pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)],
+                         ids=["M128", "M512"])
+def test_zheevr_and_eigh_paths_agree(monkeypatch, ris_array):
+    # the subset eigensolver and numpy's full eigh give the same warm start,
+    # and the designs solved from them end at the same objective
+    binding = risbal.ris_design._zheevr
+    for seed in (0, 1):
+        gram = effective_channels(_channels(seed=seed, ris_array=ris_array))
+        for lam in (0.0, 1.0, 10.0, 100.0, 1000.0):
+            d = gram.weights(lam)
+            runs = []
+            for zheevr in (binding, lambda: None):
+                monkeypatch.setattr(risbal.ris_design, "_zheevr", zheevr)
+                runs.append((design_eigen(gram, d), design_balanced(gram, d)[1]))
+            (phi_a, trace_a), (phi_b, trace_b) = runs
+            assert np.abs(phi_a - phi_b).max() <= 1e-10
+            f_a, f_b = trace_a.objective_values[-1], trace_b.objective_values[-1]
+            assert abs(f_a - f_b) <= 1e-9 * abs(f_b)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -187,17 +187,19 @@ def test_library_failed_factorization_raises_numerical_error(entry, monkeypatch)
 
 
 def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
-    # the warm starts come from the drop's Gram core: every eigensolve is
-    # core-sized, none M x M
+    # the warm starts come from the drop's Gram core: every eigensolve, which
+    # all go through one entry point, is core-sized, none M x M
+    import risbal.ris_design
+
     cfg = ScenarioConfig(ris_array=ArrayGeometry(16, 32))
     sizes = []
-    original = np.linalg.eigh
+    original = risbal.ris_design._top_eigenpair
 
-    def recorded(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
-        return original(a, *args, **kwargs)
+    def recorded(K):
+        sizes.append(K.shape[-1])
+        return original(K)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(risbal.ris_design, "_top_eigenpair", recorded)
     run_drop(cfg, 5)
     assert len(sizes) == 2  # one warm start per design: Proposed and ConvRis
     assert cfg.ris_array.size not in sizes
