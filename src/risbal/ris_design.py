@@ -18,8 +18,8 @@ A dense Hermitian R = V diag(w) V^H takes the same form: B = V, T = I, d = w.
 
 design_balanced hands the solver the dominant part of the Hessian's
 positive-semidefinite leakage term 2 lam/n_2 B_2 B_2^H: its top 8
-directions, from one SVD of T's B_2 block per factor, which the solver's
-Newton phase adds to its preconditioner.
+directions, from one Hermitian eigensolve of T_2^H T_2 per factor, for T's
+B_2 block T_2, which the solver's Newton phase adds to its preconditioner.
 """
 
 from __future__ import annotations
@@ -80,16 +80,19 @@ class GramFactor:
     @cached_property
     def leakage_basis(self) -> np.ndarray:
         """B_2 Z, (M, k), for Z the top k = min(8, r, c - c1) right singular
-        vectors of T_2 = T[:, c1:], which are B_2's as B_2 = Q T_2: the
-        dominant part of the leakage total B_2 B_2^H. One SVD per factor,
-        taken on first use and kept with it, as it does not depend on the
-        weight. NumericalError is raised if the SVD fails."""
-        c1 = self.c1
+        vectors of T_2 = T[:, c1:], in descending order, which are B_2's as
+        B_2 = Q T_2: the dominant part of the leakage total B_2 B_2^H. Z are
+        the top eigenvectors of the (c - c1)-square T_2^H T_2, from one
+        Hermitian eigensolve per factor, taken on first use and kept with it,
+        as it does not depend on the weight. NumericalError is raised if the
+        eigensolve fails."""
+        T2 = self.T[:, self.c1:]
+        k = min(_LEAKAGE_RANK, *T2.shape)
         try:
-            Vh = np.linalg.svd(self.T[:, c1:], full_matrices=False)[2]
+            Z = np.linalg.eigh(T2.conj().T @ T2)[1]
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"leakage-subspace SVD failed: {exc}") from exc
-        return self.B[:, c1:] @ Vh[:_LEAKAGE_RANK].conj().T
+            raise NumericalError(f"leakage-subspace eigensolve failed: {exc}") from exc
+        return self.B[:, self.c1:] @ Z[:, : -k - 1 : -1]
 
     @cached_property
     def _norms(self) -> tuple[float, float]:
@@ -114,18 +117,27 @@ def effective_channels(channels: ChannelSet) -> GramFactor:
     """Both Gram totals At_i = sum_k A_ik A_ik^H of one draw, in factor form:
     B_i B_i^H = At_i for B_i with a column h_k^H o f per user row h_k^H of
     cell i and column f of G_i's range factor, T from a QR of B in mode 'r'.
-    Products that overflow give inf or nan entries, without a warning, and
-    GramFactor.weights rejects their norms."""
+    Each cell's products are written straight into its columns of one B, and
+    Bh into one array of its own, so a drop allocates B, Bh and the QR's
+    buffers and no per-cell block or transposed copy. Products that overflow
+    give inf or nan entries, without a warning, and GramFactor.weights
+    rejects their norms."""
+    cells = ((channels.h_r1, channels.G1_range), (channels.h_r2, channels.G2_range))
+    M = len(channels.G1_range)
+    c1, c2 = (len(h_r) * F.shape[1] for h_r, F in cells)
+    B = np.empty((M, c1 + c2), dtype=complex)
+    Bh = np.empty((c1 + c2, M), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        B1, B2 = ((h_r.T[:, :, None] * F[:, None, :]).reshape(len(F), -1)
-                  for h_r, F in ((channels.h_r1, channels.G1_range),
-                                 (channels.h_r2, channels.G2_range)))
-        B = np.hstack([B1, B2])
+        for (h_r, F), cols in zip(cells, (slice(0, c1), slice(c1, None))):
+            # a view: B's columns cols split into (user, range column) pairs
+            np.multiply(h_r.T[:, :, None], F[:, None, :],
+                        out=B[:, cols].reshape(M, len(h_r), F.shape[1]))
+        np.conjugate(B.T, out=Bh)
         try:
             T = np.linalg.qr(B, mode="r")
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Gram-factor QR failed: {exc}") from exc
-    return GramFactor(B, np.ascontiguousarray(B.conj().T), T, B1.shape[1])
+    return GramFactor(B, Bh, T, c1)
 
 
 def balance_matrix(At1: np.ndarray, At2: np.ndarray, lam: float) -> np.ndarray:
@@ -260,7 +272,7 @@ def design_balanced(gram: GramFactor, d: np.ndarray,
     psd_term = (gram.leakage_basis, -2 d[c1]), the dominant part of the
     Hessian's leakage term -2 d[c1] B_2 B_2^H, for its Newton phase;
     otherwise (lam = 0) none. NumericalError is raised if the warm start's
-    eigensolve or the leakage SVD fails.
+    eigensolve or the leakage-subspace eigensolve fails.
     """
     c = max(1, int(np.flatnonzero(d).max(initial=-1)) + 1)
     if c < len(d):

@@ -18,7 +18,9 @@ phases and balanced designs (keyed by linear weight), and per transmit
 power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
 a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
 sweep computes only its Proposed design and rates.
-A drop runs on one BLAS thread where OpenBLAS allows it (see the README).
+A drop runs on one BLAS thread where OpenBLAS allows it, and the first drop
+sets a heap policy under which the next drops reuse the blocks it frees (see
+the README).
 """
 
 from __future__ import annotations
@@ -95,6 +97,34 @@ def _openblas_setters() -> tuple:
     """openblas_set_num_threads_local of each loaded OpenBLAS, looked up on first
     use; empty if none exports it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
     return openblas_exports("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int)
+
+
+# glibc's mallopt parameters (malloc.h) and the values _keep_freed_blocks sets.
+# By default glibc raises its mmap threshold to the largest mapped block freed
+# and trims the heap's top once more than twice that is free there. A drop at
+# M = 512 frees more than that at once (with a 2 MiB trim threshold it still
+# faults hundreds of pages in per cell, with 8 MiB almost none), so every drop
+# gave pages back and faulted them in again. These fix the end state of glibc's
+# own rule from the start: the mmap threshold at its 64-bit ceiling of 32 MiB
+# (DEFAULT_MMAP_THRESHOLD_MAX), the trim threshold at twice it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+@functools.cache
+def _keep_freed_blocks() -> bool:
+    """Set glibc's mmap and trim thresholds once per process, on first use, so
+    that the blocks one drop frees serve the next rather than being unmapped
+    or trimmed and faulted in again; True if mallopt applied both. A no-op
+    that returns False where libc has no mallopt (macOS, Windows) or a stub
+    that applies nothing (musl)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)])
 
 
 _blas_lock = threading.Lock()
@@ -176,8 +206,10 @@ def run_drop(
     in a draw may depend on the weight, and only its per-power entries on the
     transmit power. It runs on one BLAS thread, and a floating-point overflow
     or invalid operation, or a failed factorization, in it raises
-    NumericalError, so the rates it returns are finite.
+    NumericalError, so the rates it returns are finite. The first call in a
+    process sets the heap policy of _keep_freed_blocks.
     """
+    _keep_freed_blocks()
     if shared is None:
         shared = {}
     with _one_blas_thread(), np.errstate(over="raise", invalid="raise"):

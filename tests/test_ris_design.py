@@ -550,9 +550,14 @@ def _reference_totals(cs):
 
 def _check_factor(cs):
     """effective_channels' factor against the cascade totals, term by term:
-    B_i B_i^H = At_i and B = Q T for an orthonormal Q with T upper triangular."""
+    B_i B_i^H = At_i and B = Q T for an orthonormal Q with T upper triangular;
+    B as the per-cell blocks side by side, bit for bit, and Bh its own array."""
     gram = effective_channels(cs)
     M, c = gram.B.shape
+    B1, B2 = ((h_r.T[:, :, None] * F[:, None, :]).reshape(M, -1)
+              for h_r, F in ((cs.h_r1, cs.G1_range), (cs.h_r2, cs.G2_range)))
+    assert gram.c1 == B1.shape[1] and np.array_equal(gram.B, np.hstack([B1, B2]))
+    assert not np.shares_memory(gram.Bh, gram.B)
     assert gram.T.shape == (min(M, c), c)
     assert np.array_equal(gram.Bh, gram.B.conj().T) and gram.Bh.flags.c_contiguous
     assert np.array_equal(gram.T, np.triu(gram.T))

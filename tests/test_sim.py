@@ -140,6 +140,25 @@ def test_concurrent_drops_restore_the_callers_blas_threads(monkeypatch):
         setter(before)
 
 
+def test_large_drops_reuse_the_heap_blocks_freed_before_them():
+    # after one warm-up drop, each drop on a 512-element surface takes its
+    # megabyte-sized arrays from the blocks the drop before it freed, instead
+    # of faulting fresh pages in: hundreds of minor faults a drop under
+    # glibc's default thresholds, against at most about 10 under the ones
+    # _keep_freed_blocks sets, where a drop still grows the heap by a few pages
+    resource = pytest.importorskip("resource")
+    cfg = replace(ScenarioConfig(), ris_array=ArrayGeometry(16, 32), lambda_db=20.0)
+    run_drop(cfg, 1)
+    if not risbal.sim._keep_freed_blocks():
+        pytest.skip("libc has no mallopt that applies the heap thresholds")
+    faults = []
+    for seed in range(2, 7):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_drop(cfg, seed)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults) < 16, faults
+
+
 # a library caller's two ways into a drop; each must fail as the CLI does
 _ENTRY_POINTS = {
     "run_drop": lambda cfg: run_drop(cfg, 7),
