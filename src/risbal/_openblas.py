@@ -1,35 +1,29 @@
-"""Exports of the OpenBLAS libraries loaded into this process, called through
-ctypes: numpy's wheels load one, so no library is added."""
+"""Functions of numpy's OpenBLAS, called through ctypes: looked up on numpy's
+linalg extension, whose handle also searches the libraries it links."""
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 
+import numpy.linalg._umath_linalg
+
 
 @functools.cache
-def _libraries() -> tuple[ctypes.CDLL, ...]:
-    """Each OpenBLAS mapped in /proc/self/maps, scanned on first use; empty
-    where there is none (MKL, Accelerate) or no /proc (not Linux)."""
+def _numpy_linalg() -> ctypes.CDLL | None:
+    """numpy's linalg extension, opened on first use; None where it cannot be."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {ln.split(maxsplit=5)[-1].strip() for ln in fh if "openblas" in ln.lower()}
+        return ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
     except OSError:
-        return ()
-    libraries = []
-    for path in sorted(paths):
-        with contextlib.suppress(OSError):
-            libraries.append(ctypes.CDLL(path))
-    return tuple(libraries)
+        return None
 
 
-def openblas_exports(name: str, argtypes: list, restype) -> tuple:
-    """The function name of each loaded OpenBLAS that exports it, typed with
-    argtypes and restype; empty if none does."""
-    found = []
-    for library in _libraries():
-        with contextlib.suppress(AttributeError):
-            found.append(getattr(library, name))
-            found[-1].argtypes, found[-1].restype = argtypes, restype
-    return tuple(found)
+def openblas_function(name: str, argtypes: list, restype):
+    """Function name of numpy's linalg extension or a library it links, typed
+    with argtypes and restype; None where none exports it."""
+    try:  # None, where the extension cannot be opened, has no such attribute either
+        function = getattr(_numpy_linalg(), name)
+    except AttributeError:
+        return None
+    function.argtypes, function.restype = argtypes, restype
+    return function

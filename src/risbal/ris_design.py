@@ -32,7 +32,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import manifold
-from ._openblas import openblas_exports
+from ._openblas import openblas_function
 from .channel import ChannelSet
 from .errors import NormalizationError, NumericalError
 from .manifold import RcgTrace
@@ -172,16 +172,15 @@ def p1_problem(gram: GramFactor, d: np.ndarray) -> tuple[Callable, Callable]:
 @cache
 def _zheevr():
     """LAPACKE's zheevr in numpy's OpenBLAS (numpy >= 2 wheels, 64-bit
-    integers), looked up on first use; None where no loaded OpenBLAS exports it."""
+    integers), looked up on first use; None where numpy's libraries do not export it."""
     i64, f64, ptr, char = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-    found = openblas_exports(
+    return openblas_function(
         "scipy_LAPACKE_zheevr64_",
         # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
         [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64,
          ptr, ptr, ptr, i64, ptr],
         i64,
     )
-    return found[0] if found else None
 
 
 def _top_eigenpair(K: np.ndarray) -> tuple[float, np.ndarray]:

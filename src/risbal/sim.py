@@ -18,9 +18,9 @@ phases and balanced designs (keyed by linear weight), and per transmit
 power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
 a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
 sweep computes only its Proposed design and rates.
-A drop runs on one BLAS thread where OpenBLAS allows it, and the first drop
-sets a heap policy under which the next drops reuse the blocks it frees (see
-the README).
+A drop runs on one thread of numpy's OpenBLAS where it allows that, one drop
+at a time, and the first drop sets a heap policy under which the next drops
+reuse the blocks it frees (see the README).
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from enum import Enum
 
 import numpy as np
 
-from ._openblas import openblas_exports
+from ._openblas import openblas_function
 from .beamform import composite_cell1, composite_cell2, slnr_beamformer
 from .channel import gen_channel_set
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, _fits, load_config
 from .errors import ConfigError, NumericalError, RisbalError
 from .metrics import evaluate
 from .ris_design import design_balanced, design_random, effective_channels
@@ -93,10 +93,10 @@ class SweepResult:
 
 
 @functools.cache
-def _openblas_setters() -> tuple:
-    """openblas_set_num_threads_local of each loaded OpenBLAS, looked up on first
-    use; empty if none exports it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
-    return openblas_exports("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int)
+def _openblas_setter():
+    """openblas_set_num_threads_local of numpy's OpenBLAS, looked up on first use;
+    None where numpy's libraries do not export it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
+    return openblas_function("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int)
 
 
 # glibc's mallopt parameters (malloc.h) and the values _keep_freed_blocks sets.
@@ -128,27 +128,21 @@ def _keep_freed_blocks() -> bool:
 
 
 _blas_lock = threading.Lock()
-_blas_depth, _blas_saved = 0, []  # drops running; the counts from before the first
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's count.
-    In numpy's pthreads OpenBLAS the setter changes the whole process's count,
-    so among concurrent drops the first one in sets it, the last one out restores it."""
-    global _blas_depth, _blas_saved
+    """Run the block on one thread of numpy's OpenBLAS, then restore the caller's
+    count. The setter changes the whole process's count, so the block holds a
+    lock: drops entered from several threads run one at a time."""
+    setter = _openblas_setter()
     with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = [setter(1) for setter in _openblas_setters()]
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                for setter, count in zip(_openblas_setters(), _blas_saved):
-                    setter(count)
+        saved = setter(1) if setter else None
+        try:
+            yield
+        finally:
+            if setter:
+                setter(saved)
 
 
 class _Drop:
@@ -206,9 +200,12 @@ def run_drop(
     in a draw may depend on the weight, and only its per-power entries on the
     transmit power. It runs on one BLAS thread, and a floating-point overflow
     or invalid operation, or a failed factorization, in it raises
-    NumericalError, so the rates it returns are finite. The first call in a
-    process sets the heap policy of _keep_freed_blocks.
+    NumericalError, so the rates it returns are finite; a drop_seed that is not
+    a nonnegative integer (a bool is not) raises ConfigError. The first call in
+    a process sets the heap policy of _keep_freed_blocks.
     """
+    if not _fits(drop_seed, int) or drop_seed < 0:
+        raise ConfigError(f"drop seed must be a nonnegative integer, got {drop_seed!r}")
     _keep_freed_blocks()
     if shared is None:
         shared = {}

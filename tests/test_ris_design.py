@@ -454,7 +454,7 @@ def test_design_eigen_ignores_eigenvector_phase(monkeypatch, theta):
 
 needs_zheevr = pytest.mark.skipif(
     not risbal.ris_design._zheevr(),
-    reason="no loaded OpenBLAS exports scipy_LAPACKE_zheevr64_",
+    reason="numpy's libraries do not export scipy_LAPACKE_zheevr64_",
 )
 
 

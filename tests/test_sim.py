@@ -1,11 +1,14 @@
 import contextlib
 import csv
+import ctypes
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from dataclasses import astuple, fields, replace
 
@@ -15,6 +18,7 @@ from conftest import small_cfg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import risbal.ris_design
 import risbal.sim
 from risbal import (
     ArrayGeometry,
@@ -46,6 +50,19 @@ def test_run_drop_deterministic():
     assert set(a) == set(Scheme)
 
 
+@pytest.mark.parametrize("seed", [17.5, "17", True, False, -1, None], ids=repr)
+def test_run_drop_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # the rule ScenarioConfig.seed follows: a float, a string or a bool would
+    # otherwise run as the integer it converts to, and -1 fail inside numpy
+    with pytest.raises(ConfigError, match="^drop seed must be a nonnegative integer, got "):
+        run_drop(small_cfg(), seed)
+
+
+def test_run_drop_accepts_numpy_and_large_integer_seeds():
+    assert run_drop(small_cfg(), np.int64(17)) == run_drop(small_cfg(), 17)
+    assert set(run_drop(small_cfg(), 2**64 + 5)) == set(Scheme)
+
+
 def test_run_drop_builds_gram_totals_once(monkeypatch):
     # Proposed and ConvRis share one pair of Gram totals per drop; the
     # counter replaces every module binding of the name
@@ -66,19 +83,60 @@ def test_run_drop_builds_gram_totals_once(monkeypatch):
 
 
 needs_openblas = pytest.mark.skipif(
-    not risbal.sim._openblas_setters(),
-    reason="no loaded OpenBLAS exports openblas_set_num_threads_local",
+    risbal.sim._openblas_setter() is None,
+    reason="numpy's libraries do not export openblas_set_num_threads_local",
 )
 
 
 def _blas_threads():
-    """This process's OpenBLAS thread count, read by setting and restoring it
-    under the lock that guards the drops' own changes to it."""
-    setter = risbal.sim._openblas_setters()[0]
-    with risbal.sim._blas_lock:
-        count = setter(1)
-        setter(count)
+    """This process's OpenBLAS thread count, read by setting and restoring it.
+    It takes no lock: it runs inside drops, which hold the drops' lock."""
+    setter = risbal.sim._openblas_setter()
+    count = setter(1)
+    setter(count)
     return count
+
+
+def test_numpy_wheels_export_the_native_hooks():
+    # numpy's own Linux wheels link scipy-openblas, which exports the thread
+    # setter and LAPACKE's zheevr, and run on glibc, whose mallopt applies the
+    # heap thresholds; there none of the tests that need these may skip unseen
+    if not sys.platform.startswith("linux"):
+        pytest.skip(f"numpy's own wheels are checked on Linux, not {sys.platform}")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:
+        pytest.skip("numpy.show_config has no dicts mode")
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas}, not the scipy-openblas of numpy's own wheels")
+    assert risbal.sim._openblas_setter() is not None
+    assert risbal.ris_design._zheevr() is not None
+    if platform.libc_ver()[0] == "glibc":
+        assert risbal.sim._keep_freed_blocks()
+
+
+def test_openblas_function_is_none_where_nothing_exports_it(monkeypatch):
+    from risbal import _openblas
+
+    lookup = _openblas.openblas_function
+    assert lookup("risbal_exports_no_such_symbol", [], None) is None
+
+    def unopenable(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    # an uncached handle, so the extension is opened again, and fails
+    monkeypatch.setattr(_openblas, "_numpy_linalg", _openblas._numpy_linalg.__wrapped__)
+    monkeypatch.setattr(_openblas.ctypes, "CDLL", unopenable)
+    assert _openblas._numpy_linalg() is None
+    assert lookup("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int) is None
+
+
+def test_run_drop_without_a_thread_setter_gives_the_same_rates(monkeypatch):
+    # where numpy's libraries export no setter the drop runs on the caller's
+    # threads; on the small surface that changes no rate
+    expected = run_drop(small_cfg(), 3)
+    monkeypatch.setattr(risbal.sim, "_openblas_setter", lambda: None)
+    assert run_drop(small_cfg(), 3) == expected
 
 
 @needs_openblas
@@ -94,7 +152,7 @@ def test_run_drop_runs_on_one_blas_thread(monkeypatch):
         seen.append(_blas_threads())
         raise NumericalError("injected")
 
-    setter = risbal.sim._openblas_setters()[0]
+    setter = risbal.sim._openblas_setter()
     before = setter(2)
     try:
         monkeypatch.setattr(risbal.sim, "effective_channels", recorded)
@@ -110,13 +168,18 @@ def test_run_drop_runs_on_one_blas_thread(monkeypatch):
 
 @needs_openblas
 def test_concurrent_drops_restore_the_callers_blas_threads(monkeypatch):
-    # the count is one per process, so a drop that ends while another runs
-    # must neither raise it under the other nor leave the other's 1 behind
-    seen = []
+    # the count is one per process, so drops entered from several threads run
+    # one at a time: each holds its one thread until it ends, then restores
+    # the caller's count. Each drop waits 10 ms inside, so that without the
+    # lock another thread always enters meanwhile, which inside counts
+    seen, inside = [], []
     original = risbal.sim.effective_channels
 
     def recorded(channels):
-        seen.append(_blas_threads())
+        inside.append(1)
+        time.sleep(0.01)
+        seen.append((_blas_threads(), len(inside)))
+        inside.pop()
         return original(channels)
 
     def drops(first_seed):
@@ -124,9 +187,8 @@ def test_concurrent_drops_restore_the_callers_blas_threads(monkeypatch):
             run_drop(small_cfg(), seed)
 
     monkeypatch.setattr(risbal.sim, "effective_channels", recorded)
-    setter = risbal.sim._openblas_setters()[0]
-    before, interval = setter(2), sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    setter = risbal.sim._openblas_setter()
+    before = setter(2)
     try:
         threads = [threading.Thread(target=drops, args=(10 * i,)) for i in range(4)]
         for t in threads:
@@ -134,9 +196,8 @@ def test_concurrent_drops_restore_the_callers_blas_threads(monkeypatch):
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert seen == [1] * 20 and _blas_threads() == 2
+        assert seen == [(1, 1)] * 20 and _blas_threads() == 2
     finally:
-        sys.setswitchinterval(interval)
         setter(before)
 
 
@@ -170,14 +231,14 @@ _ENTRY_POINTS = {
 def _callers_blas_threads_kept():
     """Run the block at 2 OpenBLAS threads, where a setter is found, and
     check that the block leaves that count in place."""
-    setters = risbal.sim._openblas_setters()
-    before = setters[0](2) if setters else None
+    setter = risbal.sim._openblas_setter()
+    before = setter(2) if setter else None
     try:
         yield
-        assert not setters or _blas_threads() == 2
+        assert not setter or _blas_threads() == 2
     finally:
-        if setters:
-            setters[0](before)
+        if setter:
+            setter(before)
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
