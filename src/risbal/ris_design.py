@@ -12,7 +12,8 @@ R is never formed: it is posed as B diag(d) B^H with real weights d, where
 each Gram total is B_i B_i^H and B = [B_1 B_2] has at most 2 K (L + 1)
 columns whatever the surface size M, so a weight changes only d and a
 gradient costs O(M c). The warm start takes the top eigenpair alone of the
-r x r core T diag(d) T^H, for the triangular factor T of B = Q T, lifts it
+r x r core T diag(d) T^H, for the triangular factor T of B = Q T, from
+_native.top_eigenpair (LAPACK's zheevr, or numpy's eigh), lifts it
 through B, without Q, and pins its global phase, which cell 2's rate sees.
 A dense Hermitian R = V diag(w) V^H takes the same form: B = V, T = I, d = w.
 
@@ -24,15 +25,13 @@ B_2 block T_2, which the solver's Newton phase adds to its preconditioner.
 
 from __future__ import annotations
 
-import ctypes
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from . import manifold
-from ._openblas import openblas_function
+from . import _native, manifold
 from .channel import ChannelSet
 from .errors import NormalizationError, NumericalError
 from .manifold import RcgTrace
@@ -51,8 +50,6 @@ __all__ = [
 # The leakage term handed to the solver keeps the top _LEAKAGE_RANK
 # directions of B_2.
 _LEAKAGE_RANK = 8
-
-_LAPACK_ROW_MAJOR = 101
 
 
 def _check_balance(n1: float, n2: float, lam: float) -> None:
@@ -169,46 +166,6 @@ def p1_problem(gram: GramFactor, d: np.ndarray) -> tuple[Callable, Callable]:
     return objective, euclid_grad
 
 
-@cache
-def _zheevr():
-    """LAPACKE's zheevr in numpy's OpenBLAS (numpy >= 2 wheels, 64-bit
-    integers), looked up on first use; None where numpy's libraries do not export it."""
-    i64, f64, ptr, char = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-    return openblas_function(
-        "scipy_LAPACKE_zheevr64_",
-        # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
-        [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64,
-         ptr, ptr, ptr, i64, ptr],
-        i64,
-    )
-
-
-def _top_eigenpair(K: np.ndarray) -> tuple[float, np.ndarray]:
-    """The algebraically largest eigenvalue of the Hermitian K, read from its
-    lower triangle, and a unit eigenvector for it: that pair alone, by
-    LAPACK's zheevr (bisection and inverse iteration on K's tridiagonal form)
-    where numpy's OpenBLAS exports it, otherwise the last of np.linalg.eigh's.
-    K's entries must be finite. NumericalError is raised if the eigensolve
-    fails."""
-    zheevr = _zheevr()
-    if zheevr is None:
-        try:
-            vals, vecs = np.linalg.eigh(K)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-        return vals[-1], vecs[:, -1]
-    n = len(K)
-    a = np.array(K, dtype=complex, order="C")  # zheevr overwrites its input
-    # w takes every copy of a repeated top eigenvalue, so it has n entries
-    w, z = np.empty(n), np.empty(n, dtype=complex)
-    m, isuppz = np.empty(1, dtype=np.int64), np.empty(2, dtype=np.int64)
-    info = zheevr(_LAPACK_ROW_MAJOR, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, n, n,
-                  0.0, m.ctypes.data, w.ctypes.data, z.ctypes.data, 1, isuppz.ctypes.data)
-    if info != 0:
-        raise NumericalError(f"eigendecomposition failed: zheevr returned info {info}")
-    return w[0], z
-
-
 def design_eigen(gram: GramFactor, d: np.ndarray) -> np.ndarray:
     """Relaxation baseline: normalize each entry of R's top eigenvector.
 
@@ -234,7 +191,7 @@ def design_eigen(gram: GramFactor, d: np.ndarray) -> np.ndarray:
     if not np.isfinite(largest):
         raise NumericalError("Gram core has non-finite entries")
     tol = r * np.finfo(float).eps * r * largest
-    mu, w = _top_eigenpair(K)
+    mu, w = _native.top_eigenpair(K)
     if mu > tol or (mu < -tol and r == M):
         v = B @ (d * (T.conj().T @ w)) / mu
     else:

@@ -18,9 +18,9 @@ phases and balanced designs (keyed by linear weight), and per transmit
 power the direct-link precoder and the ConvRis, RandRis and NoRis rates. So
 a CRN txpower sweep designs once for all powers, and a cell of a CRN lambda
 sweep computes only its Proposed design and rates.
-A drop runs on one thread of numpy's OpenBLAS where it allows that, one drop
-at a time, and the first drop sets a heap policy under which the next drops
-reuse the blocks it frees (see the README).
+A drop runs in _native.drop_scope: on one thread of numpy's OpenBLAS where it
+allows that, one drop at a time, and the first drop sets a heap policy under
+which the next drops reuse the blocks it frees (see the README).
 """
 
 from __future__ import annotations
@@ -28,18 +28,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import ctypes
-import functools
 import math
 import os
 import sys
-import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from ._openblas import openblas_function
+from . import _native
 from .beamform import composite_cell1, composite_cell2, slnr_beamformer
 from .channel import gen_channel_set
 from .config import ScenarioConfig, _fits, load_config
@@ -90,59 +88,6 @@ class SweepResult:
     mean_sum_rate: float
     std_err: float
     num_drops: int
-
-
-@functools.cache
-def _openblas_setter():
-    """openblas_set_num_threads_local of numpy's OpenBLAS, looked up on first use;
-    None where numpy's libraries do not export it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
-    return openblas_function("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int)
-
-
-# glibc's mallopt parameters (malloc.h) and the values _keep_freed_blocks sets.
-# By default glibc raises its mmap threshold to the largest mapped block freed
-# and trims the heap's top once more than twice that is free there. A drop at
-# M = 512 frees more than that at once (with a 2 MiB trim threshold it still
-# faults hundreds of pages in per cell, with 8 MiB almost none), so every drop
-# gave pages back and faulted them in again. These fix the end state of glibc's
-# own rule from the start: the mmap threshold at its 64-bit ceiling of 32 MiB
-# (DEFAULT_MMAP_THRESHOLD_MAX), the trim threshold at twice it.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
-
-
-@functools.cache
-def _keep_freed_blocks() -> bool:
-    """Set glibc's mmap and trim thresholds once per process, on first use, so
-    that the blocks one drop frees serve the next rather than being unmapped
-    or trimmed and faulted in again; True if mallopt applied both. A no-op
-    that returns False where libc has no mallopt (macOS, Windows) or a stub
-    that applies nothing (musl)."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return False
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD),
-                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)])
-
-
-_blas_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one thread of numpy's OpenBLAS, then restore the caller's
-    count. The setter changes the whole process's count, so the block holds a
-    lock: drops entered from several threads run one at a time."""
-    setter = _openblas_setter()
-    with _blas_lock:
-        saved = setter(1) if setter else None
-        try:
-            yield
-        finally:
-            if setter:
-                setter(saved)
 
 
 class _Drop:
@@ -201,15 +146,14 @@ def run_drop(
     transmit power. It runs on one BLAS thread, and a floating-point overflow
     or invalid operation, or a failed factorization, in it raises
     NumericalError, so the rates it returns are finite; a drop_seed that is not
-    a nonnegative integer (a bool is not) raises ConfigError. The first call in
-    a process sets the heap policy of _keep_freed_blocks.
+    a nonnegative integer (a bool is not) raises ConfigError. It runs in
+    _native.drop_scope, so the first call in a process sets its heap policy.
     """
     if not _fits(drop_seed, int) or drop_seed < 0:
         raise ConfigError(f"drop seed must be a nonnegative integer, got {drop_seed!r}")
-    _keep_freed_blocks()
     if shared is None:
         shared = {}
-    with _one_blas_thread(), np.errstate(over="raise", invalid="raise"):
+    with _native.drop_scope(), np.errstate(over="raise", invalid="raise"):
         try:
             drop = shared.get(drop_seed)
             if drop is None or any(getattr(cfg, f) != getattr(drop.cfg, f) for f in _DROP_FIELDS):
@@ -232,17 +176,18 @@ def drop_seed_for(seed: int, sweep_index: int, drop_index: int, crn: bool = Fals
 def run_sweep(
     cfg: ScenarioConfig,
     sweep: SweepParam,
-    values: list[float],
+    values: Sequence[float],
     crn: bool = False,
 ) -> list[SweepResult]:
-    """Run num_drops drops per sweep value and aggregate.
+    """Run num_drops drops per sweep value (any sequence of numbers, a numpy
+    array too) and aggregate.
 
     Drop-major: for each drop index, every value runs in turn, all through
     one shared map (see run_drop), so with crn each drop is drawn once. Values
     that print the same in the CSV (to 9 significant digits; -0 equals 0)
     would write conflicting rows and raise ConfigError before any drop runs.
     """
-    if not values:
+    if len(values) == 0:
         raise ConfigError("sweep needs at least one value")
     cfgs = [replace(cfg, **{_SWEPT_FIELDS[sweep]: float(value)}) for value in values]
     printed = [float(f"{float(value):.9g}") for value in values]
@@ -358,6 +303,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 3
     except RisbalError as exc:
         print(f"risbal: config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a scenario too large to allocate
+        print(f"risbal: config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"risbal: cannot write output: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 import math
 
 import numpy as np
+import pytest
 
+import risbal._native
 from risbal import (
     ArrayGeometry,
     ChannelSet,
@@ -199,3 +201,18 @@ def small_cfg(**overrides):
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+needs_openblas = pytest.mark.skipif(
+    risbal._native.set_blas_threads is None,
+    reason="numpy's libraries do not export openblas_set_num_threads_local",
+)
+
+
+def blas_threads():
+    """This process's OpenBLAS thread count, read by setting and restoring it.
+    It takes no lock: it runs inside drops, which hold the drops' lock."""
+    setter = risbal._native.set_blas_threads
+    count = setter(1)
+    setter(count)
+    return count

@@ -19,6 +19,8 @@ def test_readme_library_use_block_runs():
     assert np.allclose(np.abs(phi), 1.0)
     assert trace.objective_values[-1] <= trace.objective_values[0]
     assert set(namespace["rates"]) == set(Scheme)
+    # GramFactor keeps Bh contiguous for the solver's matvecs
+    assert namespace["dense"].Bh.flags.c_contiguous
 
 
 def test_readme_config_example_parses():

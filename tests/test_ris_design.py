@@ -17,6 +17,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import risbal._native
 import risbal.ris_design
 from risbal import (
     ArrayGeometry,
@@ -409,10 +410,10 @@ def test_design_balanced_eigensolve_failure_raises(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     gram = effective_channels(_channels(seed=1))
-    monkeypatch.setattr(risbal.ris_design, "_zheevr", lambda: lambda *args: 3)
+    monkeypatch.setattr(risbal._native, "zheevr", lambda *args: 3)
     with pytest.raises(NumericalError, match="info 3"):
         design_balanced(gram, gram.weights(1.0))
-    monkeypatch.setattr(risbal.ris_design, "_zheevr", lambda: None)
+    monkeypatch.setattr(risbal._native, "zheevr", None)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError, match="did not converge"):
         design_balanced(gram, gram.weights(1.0))
@@ -436,7 +437,7 @@ def test_design_eigen_ignores_eigenvector_phase(monkeypatch, theta):
     # the eigenvector's global phase is arbitrary; the warm start pins its
     # own, so it is the same whichever phase the eigensolver returns, in the
     # lift and in the r = M branch that forms Q
-    original = risbal.ris_design._top_eigenpair
+    original = risbal._native.top_eigenpair
 
     def turned(K):
         mu, w = original(K)
@@ -447,36 +448,9 @@ def test_design_eigen_ignores_eigenvector_phase(monkeypatch, theta):
     top_zero = dense_factor((U * [0.0, -1.0, -2.0]) @ U.conj().T)
     problems = [(gram, gram.weights(lam)) for lam in (0.0, 1.0, 1000.0)] + [top_zero]
     before = [design_eigen(*problem) for problem in problems]
-    monkeypatch.setattr(risbal.ris_design, "_top_eigenpair", turned)
+    monkeypatch.setattr(risbal._native, "top_eigenpair", turned)
     for problem, phi in zip(problems, before):
         np.testing.assert_allclose(design_eigen(*problem), phi, rtol=0, atol=1e-12)
-
-
-needs_zheevr = pytest.mark.skipif(
-    not risbal.ris_design._zheevr(),
-    reason="numpy's libraries do not export scipy_LAPACKE_zheevr64_",
-)
-
-
-@needs_zheevr
-@pytest.mark.parametrize("ris_array", [ArrayGeometry(8, 16), ArrayGeometry(16, 32)],
-                         ids=["M128", "M512"])
-def test_zheevr_and_eigh_paths_agree(monkeypatch, ris_array):
-    # the subset eigensolver and numpy's full eigh give the same warm start,
-    # and the designs solved from them end at the same objective
-    binding = risbal.ris_design._zheevr
-    for seed in (0, 1):
-        gram = effective_channels(_channels(seed=seed, ris_array=ris_array))
-        for lam in (0.0, 1.0, 10.0, 100.0, 1000.0):
-            d = gram.weights(lam)
-            runs = []
-            for zheevr in (binding, lambda: None):
-                monkeypatch.setattr(risbal.ris_design, "_zheevr", zheevr)
-                runs.append((design_eigen(gram, d), design_balanced(gram, d)[1]))
-            (phi_a, trace_a), (phi_b, trace_b) = runs
-            assert np.abs(phi_a - phi_b).max() <= 1e-10
-            f_a, f_b = trace_a.objective_values[-1], trace_b.objective_values[-1]
-            assert abs(f_a - f_b) <= 1e-9 * abs(f_b)
 
 
 @pytest.mark.parametrize("seed", range(3))

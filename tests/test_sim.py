@@ -1,23 +1,20 @@
 import contextlib
 import csv
-import ctypes
 import math
 import os
-import platform
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 import warnings
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
-from conftest import small_cfg
+from conftest import blas_threads, needs_openblas, small_cfg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import risbal._native
 import risbal.ris_design
 import risbal.sim
 from risbal import (
@@ -82,142 +79,12 @@ def test_run_drop_builds_gram_totals_once(monkeypatch):
     assert len(calls) == 1
 
 
-needs_openblas = pytest.mark.skipif(
-    risbal.sim._openblas_setter() is None,
-    reason="numpy's libraries do not export openblas_set_num_threads_local",
-)
-
-
-def _blas_threads():
-    """This process's OpenBLAS thread count, read by setting and restoring it.
-    It takes no lock: it runs inside drops, which hold the drops' lock."""
-    setter = risbal.sim._openblas_setter()
-    count = setter(1)
-    setter(count)
-    return count
-
-
-def test_numpy_wheels_export_the_native_hooks():
-    # numpy's own Linux wheels link scipy-openblas, which exports the thread
-    # setter and LAPACKE's zheevr, and run on glibc, whose mallopt applies the
-    # heap thresholds; there none of the tests that need these may skip unseen
-    if not sys.platform.startswith("linux"):
-        pytest.skip(f"numpy's own wheels are checked on Linux, not {sys.platform}")
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except TypeError:
-        pytest.skip("numpy.show_config has no dicts mode")
-    if blas != "scipy-openblas":
-        pytest.skip(f"numpy's BLAS is {blas}, not the scipy-openblas of numpy's own wheels")
-    assert risbal.sim._openblas_setter() is not None
-    assert risbal.ris_design._zheevr() is not None
-    if platform.libc_ver()[0] == "glibc":
-        assert risbal.sim._keep_freed_blocks()
-
-
-def test_openblas_function_is_none_where_nothing_exports_it(monkeypatch):
-    from risbal import _openblas
-
-    lookup = _openblas.openblas_function
-    assert lookup("risbal_exports_no_such_symbol", [], None) is None
-
-    def unopenable(path):
-        raise OSError(f"{path}: cannot open shared object file")
-
-    # an uncached handle, so the extension is opened again, and fails
-    monkeypatch.setattr(_openblas, "_numpy_linalg", _openblas._numpy_linalg.__wrapped__)
-    monkeypatch.setattr(_openblas.ctypes, "CDLL", unopenable)
-    assert _openblas._numpy_linalg() is None
-    assert lookup("openblas_set_num_threads_local", [ctypes.c_int], ctypes.c_int) is None
-
-
 def test_run_drop_without_a_thread_setter_gives_the_same_rates(monkeypatch):
     # where numpy's libraries export no setter the drop runs on the caller's
     # threads; on the small surface that changes no rate
     expected = run_drop(small_cfg(), 3)
-    monkeypatch.setattr(risbal.sim, "_openblas_setter", lambda: None)
+    monkeypatch.setattr(risbal._native, "set_blas_threads", None)
     assert run_drop(small_cfg(), 3) == expected
-
-
-@needs_openblas
-def test_run_drop_runs_on_one_blas_thread(monkeypatch):
-    seen = []
-    original = risbal.sim.effective_channels
-
-    def recorded(channels):
-        seen.append(_blas_threads())
-        return original(channels)
-
-    def failing(channels):
-        seen.append(_blas_threads())
-        raise NumericalError("injected")
-
-    setter = risbal.sim._openblas_setter()
-    before = setter(2)
-    try:
-        monkeypatch.setattr(risbal.sim, "effective_channels", recorded)
-        run_drop(small_cfg(), 3)
-        assert seen == [1] and _blas_threads() == 2
-        monkeypatch.setattr(risbal.sim, "effective_channels", failing)
-        with pytest.raises(NumericalError, match="injected"):
-            run_drop(small_cfg(), 4)
-        assert seen == [1, 1] and _blas_threads() == 2
-    finally:
-        setter(before)
-
-
-@needs_openblas
-def test_concurrent_drops_restore_the_callers_blas_threads(monkeypatch):
-    # the count is one per process, so drops entered from several threads run
-    # one at a time: each holds its one thread until it ends, then restores
-    # the caller's count. Each drop waits 10 ms inside, so that without the
-    # lock another thread always enters meanwhile, which inside counts
-    seen, inside = [], []
-    original = risbal.sim.effective_channels
-
-    def recorded(channels):
-        inside.append(1)
-        time.sleep(0.01)
-        seen.append((_blas_threads(), len(inside)))
-        inside.pop()
-        return original(channels)
-
-    def drops(first_seed):
-        for seed in range(first_seed, first_seed + 5):
-            run_drop(small_cfg(), seed)
-
-    monkeypatch.setattr(risbal.sim, "effective_channels", recorded)
-    setter = risbal.sim._openblas_setter()
-    before = setter(2)
-    try:
-        threads = [threading.Thread(target=drops, args=(10 * i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert seen == [(1, 1)] * 20 and _blas_threads() == 2
-    finally:
-        setter(before)
-
-
-def test_large_drops_reuse_the_heap_blocks_freed_before_them():
-    # after one warm-up drop, each drop on a 512-element surface takes its
-    # megabyte-sized arrays from the blocks the drop before it freed, instead
-    # of faulting fresh pages in: hundreds of minor faults a drop under
-    # glibc's default thresholds, against at most about 10 under the ones
-    # _keep_freed_blocks sets, where a drop still grows the heap by a few pages
-    resource = pytest.importorskip("resource")
-    cfg = replace(ScenarioConfig(), ris_array=ArrayGeometry(16, 32), lambda_db=20.0)
-    run_drop(cfg, 1)
-    if not risbal.sim._keep_freed_blocks():
-        pytest.skip("libc has no mallopt that applies the heap thresholds")
-    faults = []
-    for seed in range(2, 7):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        run_drop(cfg, seed)
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    assert max(faults) < 16, faults
 
 
 # a library caller's two ways into a drop; each must fail as the CLI does
@@ -231,11 +98,11 @@ _ENTRY_POINTS = {
 def _callers_blas_threads_kept():
     """Run the block at 2 OpenBLAS threads, where a setter is found, and
     check that the block leaves that count in place."""
-    setter = risbal.sim._openblas_setter()
+    setter = risbal._native.set_blas_threads
     before = setter(2) if setter else None
     try:
         yield
-        assert not setter or _blas_threads() == 2
+        assert not setter or blas_threads() == 2
     finally:
         if setter:
             setter(before)
@@ -273,13 +140,13 @@ def test_run_drop_solves_no_surface_sized_eigenproblem(monkeypatch):
 
     cfg = ScenarioConfig(ris_array=ArrayGeometry(16, 32))
     sizes = []
-    original = risbal.ris_design._top_eigenpair
+    original = risbal._native.top_eigenpair
 
     def recorded(K):
         sizes.append(K.shape[-1])
         return original(K)
 
-    monkeypatch.setattr(risbal.ris_design, "_top_eigenpair", recorded)
+    monkeypatch.setattr(risbal._native, "top_eigenpair", recorded)
     run_drop(cfg, 5)
     assert len(sizes) == 2  # one warm start per design: Proposed and ConvRis
     assert cfg.ris_array.size not in sizes
@@ -423,6 +290,16 @@ def test_sweep_crn_reuses_drops_across_values():
 def test_sweep_rejects_empty_values():
     with pytest.raises(ConfigError):
         run_sweep(small_cfg(), SweepParam.LAMBDA_DB, [])
+    with pytest.raises(ConfigError, match="at least one value"):
+        run_sweep(small_cfg(), SweepParam.LAMBDA_DB, np.array([]))
+
+
+def test_sweep_takes_a_numpy_array_of_values():
+    # any sequence of numbers: an array of two, whose truth value numpy
+    # refuses, sweeps as the equal list does
+    cfg = small_cfg(num_drops=2)
+    assert run_sweep(cfg, SweepParam.LAMBDA_DB, np.array([0.0, 10.0])) == run_sweep(
+        cfg, SweepParam.LAMBDA_DB, [0.0, 10.0])
 
 
 def _per_cell_results(cfg, sweep, values, crn):
@@ -1023,6 +900,21 @@ def test_cli_undecodable_config_exits_2(tmp_path, capsys):
     bom.write_bytes(b"\xef\xbb\xbfseed = 1\nnum_drops = 1\n")
     assert cli_main(["--config", str(bom), *argv]) == 0
     assert out.exists()
+
+
+def test_cli_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # a scenario too large to allocate (say ris_array = 100000x100000) is a
+    # config error, not a traceback; the draw fails here without allocating
+    def unallocatable(cfg, rng):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(risbal.sim, "gen_channel_set", unallocatable)
+    out = tmp_path / "x.csv"
+    assert cli_main(["--sweep", "lambda", "--values", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "risbal: config error: Unable to allocate 1.46 TiB for an array"
+    ]
+    assert not out.exists()
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
